@@ -14,11 +14,7 @@ from repro.uarch.pipeline import (
     simulate_cpi,
     simulate_cpi_batch,
 )
-from repro.uarch.shardstats import (
-    ShardStats,
-    compute_shard_stats,
-    compute_shard_stats_many,
-)
+from repro.uarch.shardstats import ShardStats, compute_shard_stats_many
 
 
 class Simulator:
@@ -36,18 +32,10 @@ class Simulator:
 
     def stats_for(self, shard: Trace) -> ShardStats:
         """Return (possibly cached) detailed statistics for a shard."""
-        stats = self._stats.get(shard.name)
-        if stats is None or stats.n != len(shard):
-            stats = compute_shard_stats(shard)
-            self._stats[shard.name] = stats
-        return stats
+        return self.stats_for_many([shard])[0]
 
     def stats_for_many(self, shards: Sequence[Trace]) -> list:
-        """Statistics for many shards; uncached ones computed batched.
-
-        The batched stack-distance pass produces bit-identical statistics
-        to :meth:`stats_for`, so mixing the two entry points is safe.
-        """
+        """Statistics for many shards; uncached ones computed in one batch."""
         missing = [
             s
             for s in shards

@@ -21,7 +21,8 @@ of one application so the address space is coherent end-to-end.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import collections
+from typing import Deque, Dict, Optional
 
 import numpy as np
 
@@ -46,10 +47,18 @@ FAR_REGIONS = 16
 
 
 class _AddressState:
-    """Mutable data-address state shared across the phases of one trace."""
+    """Mutable data-address state shared across the phases of one trace.
+
+    ``stack`` is the LRU stack, most recent block first; it may hold a
+    block more than once (a streaming run can cross into a block id that
+    :meth:`new_block` hands out later).  ``counts`` mirrors it exactly —
+    ``counts == collections.Counter(stack)`` between accesses — so a
+    block that is absent is known to be absent without a scan.
+    """
 
     def __init__(self):
-        self.stack: List[int] = []
+        self.stack: Deque[int] = collections.deque()
+        self.counts: Dict[int, int] = {}
         self.next_block = 1  # block 0 reserved so addr 0 means "no access"
         self.stream_left = 0
         self.last_addr = 0
@@ -164,56 +173,83 @@ def _generate_data_addresses(
     rng: np.random.Generator,
     state: _AddressState,
 ) -> np.ndarray:
-    """LRU-stack data-address model (see module docstring)."""
+    """LRU-stack data-address model (see module docstring).
+
+    The stack is a deque, so pushing a block to the front and dropping the
+    deepest block at :data:`MAX_STACK` are O(1); a move to the front is
+    skipped when the block is already there.
+    """
     addrs = np.empty(n_accesses, dtype=np.int64)
     # Pre-draw all randomness in bulk; the loop only consumes it.
     u_kind = rng.random(n_accesses)
     depths = rng.lognormal(phase.reuse_mu, phase.reuse_sigma, size=n_accesses)
     offsets = rng.integers(0, WORDS_PER_BLOCK, size=n_accesses)
     run_lengths = rng.geometric(1.0 / STREAM_RUN_MEAN, size=n_accesses)
+    # What an access outside a streaming run does: 0 starts a run, 1 takes
+    # a fresh block, 2 re-touches the block at its drawn stack depth.
+    kinds = (
+        (u_kind >= phase.stream_rate).astype(np.int8)
+        + (u_kind >= phase.stream_rate + phase.new_block_rate)
+    ).tolist()
+    # Depths past MAX_STACK are clamped by the stack length anyway; capping
+    # first keeps huge lognormal draws inside int64.
+    depths = np.minimum(depths, MAX_STACK).astype(np.int64).tolist()
+    offsets = (offsets * WORD_BYTES).tolist()
+    run_lengths = run_lengths.tolist()
 
     stack = state.stack
-    stream_threshold = phase.stream_rate
-    new_threshold = phase.stream_rate + phase.new_block_rate
+    counts = state.counts
+    stream_left = state.stream_left
+    addr = state.last_addr
 
     for i in range(n_accesses):
-        if state.stream_left > 0:
+        if stream_left > 0:
             # Continue a unit-stride run.
-            state.stream_left -= 1
-            addr = state.last_addr + WORD_BYTES
+            stream_left -= 1
+            addr += WORD_BYTES
             block = addr // BLOCK_BYTES
-            _touch(stack, block)
+            if stack[0] != block:
+                if counts.get(block, 0):
+                    stack.remove(block)
+                    stack.appendleft(block)
+                else:
+                    _push(stack, counts, block)
         else:
-            u = u_kind[i]
-            if u < stream_threshold:
+            kind = kinds[i]
+            if kind == 0:
                 # Start a new streaming run from a fresh block.
-                state.stream_left = int(run_lengths[i])
+                stream_left = run_lengths[i]
                 block = state.new_block()
-                stack.insert(0, block)
                 addr = block * BLOCK_BYTES
-            elif u < new_threshold or not stack:
+                _push(stack, counts, block)
+            elif kind == 1 or not stack:
                 block = state.new_block()
-                stack.insert(0, block)
-                addr = block * BLOCK_BYTES + int(offsets[i]) * WORD_BYTES
+                addr = block * BLOCK_BYTES + offsets[i]
+                _push(stack, counts, block)
             else:
-                depth = min(int(depths[i]), len(stack) - 1)
-                block = stack.pop(depth)
-                stack.insert(0, block)
-                addr = block * BLOCK_BYTES + int(offsets[i]) * WORD_BYTES
-        if len(stack) > MAX_STACK:
-            del stack[MAX_STACK:]
-        state.last_addr = addr
+                depth = min(depths[i], len(stack) - 1)
+                block = stack[depth]
+                addr = block * BLOCK_BYTES + offsets[i]
+                if depth:
+                    del stack[depth]
+                    stack.appendleft(block)
         addrs[i] = addr
+    state.stream_left = stream_left
+    state.last_addr = addr
     return addrs
 
 
-def _touch(stack: List[int], block: int) -> None:
-    """Move ``block`` to the stack front (bounded linear scan)."""
-    try:
-        stack.remove(block)
-    except ValueError:
-        pass
-    stack.insert(0, block)
+def _push(stack: Deque[int], counts: Dict[int, int], block: int) -> None:
+    """Push one more occurrence of ``block``; a full stack drops its deepest."""
+    counts[block] = counts.get(block, 0) + 1
+    if len(stack) == MAX_STACK:
+        deepest = stack.pop()
+        left = counts[deepest] - 1
+        if left:
+            counts[deepest] = left
+        else:
+            del counts[deepest]
+    stack.appendleft(block)
 
 
 def _generate_instruction_addresses(
@@ -230,38 +266,44 @@ def _generate_instruction_addresses(
     common case) or far-jumps to one of :data:`FAR_REGIONS` distant
     regions.  Region size is ``code_blocks`` 64-byte blocks, so small
     ``code_blocks`` yields tight instruction locality.
+
+    A *run* is the stretch of instructions up to and including a taken
+    branch (plus the tail after the last one); every address is its run's
+    region base plus its pc offset within the run, filled in one pass.
     """
     n = len(ops)
-    iaddr = np.empty(n, dtype=np.int64)
     region_bytes = phase.code_blocks * BLOCK_BYTES
     region_spacing = 1 << 20  # regions are 1 MiB apart: never alias
 
-    branch_positions = np.flatnonzero((ops == int(OpClass.CONTROL)) & taken)
+    is_branch = (ops == int(OpClass.CONTROL)) & taken
+    branch_positions = np.flatnonzero(is_branch)
     n_branches = len(branch_positions)
     far = rng.random(n_branches) < phase.far_jump_rate
     far_targets = rng.integers(0, FAR_REGIONS, size=n_branches)
     returns_home = rng.random(n_branches) < 0.8
 
-    pc = state["pc"]
-    region = state["region"]
-    prev = 0
-    for j, pos in enumerate(branch_positions):
-        length = pos - prev + 1
-        base = region * region_spacing
-        offs = (pc + np.arange(length) * INSTRUCTION_BYTES) % region_bytes
-        iaddr[prev : pos + 1] = base + offs
-        pc = 0  # every taken branch lands at the start of its target region
-        if far[j]:
-            region = 1 + int(far_targets[j])  # region 0 is the main loop
-        elif region != 0 and returns_home[j]:
-            region = 0  # return from a far function to the main loop
-        prev = pos + 1
-    # Tail after the last taken branch.
-    if prev < n:
-        base = region * region_spacing
-        offs = (pc + np.arange(n - prev) * INSTRUCTION_BYTES) % region_bytes
-        iaddr[prev:] = base + offs
-        pc = int((pc + (n - prev) * INSTRUCTION_BYTES) % region_bytes)
-    state["pc"] = pc
-    state["region"] = region
+    # Region after each taken branch: a far jump sets it to its target
+    # (region 0 is the main loop), a return-home draw sends it to region 0,
+    # and any other branch keeps it — so it is the latest value set.
+    latest = np.maximum.accumulate(
+        np.where(far | returns_home, np.arange(n_branches), -1)
+    )
+    after = np.where(
+        latest >= 0, np.where(far, 1 + far_targets, 0)[latest], state["region"]
+    )
+    run_region = np.concatenate(([state["region"]], after))
+    # Every taken branch lands at the start of its target region.
+    run_pc = np.zeros(n_branches + 1, dtype=np.int64)
+    run_pc[0] = state["pc"]
+    run_start = np.concatenate(([0], branch_positions + 1))
+
+    run = np.cumsum(is_branch) - is_branch
+    offs = (
+        run_pc[run] + (np.arange(n) - run_start[run]) * INSTRUCTION_BYTES
+    ) % region_bytes
+    iaddr = run_region[run] * region_spacing + offs
+
+    tail = n - run_start[-1]
+    state["pc"] = int((run_pc[-1] + tail * INSTRUCTION_BYTES) % region_bytes)
+    state["region"] = int(run_region[-1])
     return iaddr

@@ -1,8 +1,12 @@
 """Unit tests for the synthetic workload substrate."""
 
+import collections
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.experiments.common import SHARD_LENGTH
 from repro.isa import OpClass
 from repro.workloads import (
     BehaviorSpec,
@@ -14,7 +18,70 @@ from repro.workloads import (
     optimization_variant,
     spec2006_suite,
 )
+from repro.workloads import generator
 from repro.workloads.behaviors import MIX_KEYS
+
+
+#: sha256 of ``Trace.data`` per SPEC-like application, keyed by ``(seed,
+#: n_instructions)``; the 8- and 40-shard traces use ``SHARD_LENGTH``
+#: shards, 12345 the default shard length.  They pin the RNG draw order
+#: and the LRU-stack semantics, whatever bookkeeping implements them.
+GOLDEN_TRACE_DIGESTS = {
+    (2012, 8 * SHARD_LENGTH): {
+        "astar": "d1bac05b25cf1e88fbb81ac89de4cb951d351bc49ddf57714a0161c0d5e33198",
+        "bwaves": "41aa09fcfc652266d2d059f1a1612a9aea94ed93dd3775f6244662ba420f83d8",
+        "bzip2": "65f6d104fa9380ad045383ad56761285b847c8e5fd96037fc661227ac0bfc421",
+        "gemsFDTD": "8a40af7196e553e4cb3f495206238fa77e0246752e5f64a947c819863d4ddb38",
+        "hmmer": "8af764f2b0d44d3c57b4b6dbf9e0748ea94353bc4db7470c9516898e20e57316",
+        "omnetpp": "c1c09ade658af6d42f300d1e5c2e0cbe3052aae211aed6f060fbdf3706fc05f5",
+        "sjeng": "025f52aa6e64511a95724a74cf44bc165bc23a879dfd365e65a522352d400695",
+    },
+    (2012, 40 * SHARD_LENGTH): {
+        "astar": "a16f78cb3fdb99a209ce0038788693b9c7135c8b8c2f3d2beb3fe67a38e03760",
+        "bwaves": "25df1389de5348d2dd129e3dcac70ec09c61eec9ab608f6cb17ae5fd7e42b267",
+        "bzip2": "ec863f3a7e239bbbf1a9a6b9c175711c9a35fd2b50463ef54cf8d1a4fbe38652",
+        "gemsFDTD": "5992c80b6a34f8d40cfa8883cbcf0ad80dd65641b2514af022fd8241b26ea25f",
+        "hmmer": "1d9e3c18b0c9246ad1609caea45960b95828f5d82a3e5c036ce23cda58834e7e",
+        "omnetpp": "c2a897ecb48ca63e7a7efef801cd1a96e1a700fea513fd2f1ac6bfd3d8fc9554",
+        "sjeng": "05a53e5364430141d6c7e76403c15505dfbf10f6292ccc4abdbce8ca6e815337",
+    },
+    (2012, 12345): {
+        "astar": "5d85cdeae5663cbac5a447eb0a72ed37c7bc1e8d87db6ba00c3b97e4aea7c015",
+        "bwaves": "8929dae0d2309cebc0255b15b8344cace8a1e88a71f962474e61370946c7b14b",
+        "bzip2": "99bb946f8a1c03dc220b20c90fa591e04d7a8f293374ca8d2b9300505b9d5261",
+        "gemsFDTD": "26bd6dc5fc9104fb3e374b477dbf7f5822ab7b66d8aaccb16167c9603c10d323",
+        "hmmer": "dbcdb78d6b16754da8548b2c961c17b462d643e60a236d7db4345a196ee52306",
+        "omnetpp": "d8bb1c6acdccbba55bfac4a42c173b91e32453db07229580f129c7557562e105",
+        "sjeng": "bb7ec56b14e55563f6518961a8347fca2890b6b4fd4e9097a4bac658d584dd96",
+    },
+    (1, 8 * SHARD_LENGTH): {
+        "astar": "086ce51e6833322ca665c7d28a40f8a97e02360fb826ce1b5aed7c6edde61631",
+        "bwaves": "a257b04114451860f706a16fc1db593ded20642542386c03330e284062311345",
+        "bzip2": "f4dcbd8b6f7a73eaac3263cb82242528b562e364d46aed3edbc4c846759dc1d5",
+        "gemsFDTD": "53ea66651df7ea18f6a542e25db0ef0d551cff7fbea1466f6c8621b545e2bf1c",
+        "hmmer": "c213c7c7c2556da5baa9fef41d5988ca8ce0bf60082d46492ebd83a2db0dee2a",
+        "omnetpp": "5796d436155b638ec4685650e81a44b00332716e1e1f230fd8447c440c53b34e",
+        "sjeng": "14e5f77c3f43374376c4b701decf48efec2c2234abb225a33a298f5a294589d2",
+    },
+    (1, 40 * SHARD_LENGTH): {
+        "astar": "02efdec587d78f20adf701743101fefe3625705557b861ff541d7d636e4f05d1",
+        "bwaves": "a0706a8bd4a2c49d2b91b505cfe45bff3e1f63640c020417e32c9c274da3ccbe",
+        "bzip2": "6361cd9e86bae84b04dc91934473a5638124241dad88424633c9fdefd6d5cc61",
+        "gemsFDTD": "64d7e93c32ad1fb1421b0b2f4df47809fa3862df205dd87863d359d9d66754b1",
+        "hmmer": "3c7d86ad4d369be8d547aebf6541ca35805a36056e6e4cc6c12569c6f9a4452c",
+        "omnetpp": "3ccbc5bc89cee9a6ae19b5590c81ff2ee57f4871bf228dd9f5ea31273839fba8",
+        "sjeng": "bafac66aac0ed85b470dbd49d7d1d85c5dc30e4ad0f75bcfca75766d32d96852",
+    },
+    (1, 12345): {
+        "astar": "fcd15e95266ef6a364bf643394f444a3487630257f5c0216711549e670b8759a",
+        "bwaves": "59e9d20215eab38e3fb86bcaa755e380ad59d72505644a55ddf018e59b2b8197",
+        "bzip2": "a7e01461eb762982d258a5d853518e8d75f56afb734aca87c4663813dc25806b",
+        "gemsFDTD": "ee64cd236d31a978227f8d99f33abb7df6f09c91b8be8f790b8ede4fd06a1257",
+        "hmmer": "9b49b32b59b0872ab2a68b2cb99a640198267d49982b2017c82c47b8a9d23e4e",
+        "omnetpp": "aa256f6a0d9ba9ff25ca8a03f547592077cea74fecd1e7d4cea2566bd154fdbe",
+        "sjeng": "dcd80705cd71884d51da70d4f1e194d36a1bfd803fe7fe0fa28b2e982cc658ae",
+    },
+}
 
 
 def simple_phase(**overrides):
@@ -162,6 +229,31 @@ class TestGenerator:
     def test_invalid_length_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(application_spec("astar"), 0)
+
+    @pytest.mark.parametrize("seed,n", list(GOLDEN_TRACE_DIGESTS))
+    def test_golden_digests(self, seed, n):
+        shard_length = SHARD_LENGTH if n % SHARD_LENGTH == 0 else None
+        suite = spec2006_suite()
+        digests = {
+            app: hashlib.sha256(
+                generate_trace(suite[app], n, seed=seed, shard_length=shard_length)
+                .data.tobytes()
+            ).hexdigest()
+            for app in SPEC_APP_NAMES
+        }
+        assert digests == GOLDEN_TRACE_DIGESTS[seed, n]
+
+    def test_occurrence_counts_mirror_the_stack(self):
+        # Streams run past the next fresh block id, so blocks repeat in the
+        # stack; enough new blocks overflow MAX_STACK and truncate it.
+        phase = simple_phase(stream_rate=0.05, new_block_rate=0.9)
+        state = generator._AddressState()
+        rng = np.random.default_rng(7)
+        for n_accesses in (500, 2 * generator.MAX_STACK, 1_000):
+            generator._generate_data_addresses(phase, n_accesses, rng, state)
+            assert state.counts == collections.Counter(state.stack)
+        assert len(state.stack) == generator.MAX_STACK
+        assert len(set(state.stack)) < len(state.stack)
 
 
 class TestSuite:
