@@ -31,8 +31,9 @@ import pytest
 from repro import obs
 from repro.core import GeneticSearch, ProfileDataset, ProfileRecord
 from repro.kernels.batched import simulate_caches, stack_distances_many_addresses
-from repro.profiling.reuse import stack_distances, stack_distances_reference
+from repro.profiling.reuse import stack_distances
 from repro.spmv import SetAssociativeCache
+from tests.oracles.stack_distance import stack_distances_reference
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_ACCESSES = 10_000 if SMOKE else 100_000

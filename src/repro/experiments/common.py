@@ -127,15 +127,6 @@ def cached(key: str, build: Callable[[], object], refresh: bool = False):
 # --------------------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class ApplicationCorpus:
-    """One application's shards, their Table 1 profiles, and shard stats."""
-
-    name: str
-    profiles: List[ShardProfile]
-    shard_keys: List[str]
-
-
 class GeneralStudy:
     """Lazily built corpus of traces + profiles for the SPEC-like suite.
 
@@ -206,10 +197,6 @@ class GeneralStudy:
                 )
             ]
         return self._profiles[application]
-
-    def warm_stats(self, application: str) -> None:
-        """Precompute simulator statistics for an application's shards."""
-        self.simulator.stats_for_many(self.shards(application))
 
     # -- profile-record construction ------------------------------------------------
 

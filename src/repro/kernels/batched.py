@@ -1,12 +1,9 @@
 """Struct-of-arrays batched cache and stack-distance kernels.
 
-The per-pair kernels (:mod:`repro.spmv.cache`,
-:mod:`repro.profiling.reuse`, :mod:`repro.uarch.cachemodel`) evaluate one
-(configuration, trace) pair per call, so sweeping a thousand cache
-architectures over one trace repeats the same argsorts and stack-distance
-passes a thousand times.  The batched kernels here restructure that work
-with configurations as a leading struct-of-arrays axis so shared
-sub-computations are hoisted and executed once:
+Sweeping a thousand cache architectures over one trace one at a time
+repeats the same argsorts and stack-distance passes a thousand times; these
+kernels take configurations (or streams) as a leading struct-of-arrays axis
+so shared sub-computations run once:
 
 * :func:`simulate_caches` — many cold set-associative caches over one
   address stream.  LRU configurations sharing a ``(line shift, set
@@ -14,23 +11,17 @@ sub-computations are hoisted and executed once:
   miss counts then cost one ``searchsorted`` each, because a cold LRU
   cache misses exactly on per-set stack distance >= ways.  Randomized
   policies (NMRU/RND) consume per-config RNG streams and fall back to
-  the per-pair simulator unchanged.
+  :class:`repro.spmv.cache.SetAssociativeCache` unchanged.
 * :func:`stack_distances_many` — stack distances for many short streams
   in one vectorized pass.  Streams are compacted to disjoint dense block
   id ranges and concatenated: no same-block window can cross a stream
   boundary, and distances depend only on the equality pattern, so the
   sliced-out results are bit-identical to per-stream calls while the
   O(M log^2 M) kernel's per-call setup is paid once per chunk.
-* :func:`expected_misses_batch` — the analytic miss model over many
-  (capacity, associativity) pairs of one shard.  The sorted-unique pass
-  over the warm distances (the oracle's dominant cost) is hoisted: each
-  config's tail histogram is a suffix of the global one.  Distinct
-  (capacity, associativity) pairs are computed exactly once with the
-  per-pair oracle's arithmetic on the same contiguous arrays, so results
-  are bit-identical floats, not merely close.
 
-Every batched kernel is checked against its retained per-pair oracle by
-the hypothesis equivalence suite in ``tests/test_kernels_batched.py``.
+The batched analytic miss model lives with the model, in
+:mod:`repro.uarch.cachemodel`.  ``tests/test_kernels_batched.py`` checks
+every kernel against per-stream and per-configuration references.
 """
 
 from __future__ import annotations
@@ -45,7 +36,6 @@ from repro.profiling.reuse import (
     _block_ids,
     stack_distances_from_blocks,
 )
-from repro.uarch.cachemodel import _binom_sf
 
 #: Target chunk size (total accesses) for stream concatenation.  Large
 #: enough to amortize per-call setup, small enough to keep the
@@ -140,15 +130,12 @@ def simulate_caches(
     return out
 
 
-def stack_distances_many(
-    streams: Sequence[np.ndarray],
-    max_batch: int = MAX_BATCH,
-) -> List[Tuple[np.ndarray, int]]:
+def stack_distances_many(streams: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, int]]:
     """Exact stack distances for many block-id streams, batched.
 
     Returns one ``(distances, n_cold)`` pair per stream, bit-identical to
     ``stack_distances_from_blocks(stream)`` per stream.  Short streams
-    are packed greedily (in order) into chunks of at most ``max_batch``
+    are packed greedily (in order) into chunks of at most :data:`MAX_BATCH`
     total accesses; each chunk's streams are compacted to disjoint dense
     block id ranges and concatenated so one vectorized pass serves them
     all.  Streams of at least :data:`DIRECT_MIN` accesses run one direct
@@ -198,7 +185,7 @@ def stack_distances_many(
                 chunk, chunk_len = [], 0
                 flush([i])
                 continue
-            if chunk and chunk_len + len(stream) > max_batch:
+            if chunk and chunk_len + len(stream) > MAX_BATCH:
                 flush(chunk)
                 chunk, chunk_len = [], 0
             chunk.append(i)
@@ -210,106 +197,6 @@ def stack_distances_many(
 def stack_distances_many_addresses(
     address_streams: Sequence[np.ndarray],
     block_bytes: int = 64,
-    max_batch: int = MAX_BATCH,
 ) -> List[Tuple[np.ndarray, int]]:
     """:func:`stack_distances_many` on byte-address streams."""
-    return stack_distances_many(
-        [_block_ids(np.asarray(a), block_bytes) for a in address_streams],
-        max_batch=max_batch,
-    )
-
-
-def expected_misses_batch(
-    sorted_stack: np.ndarray,
-    capacities: np.ndarray,
-    assocs: np.ndarray,
-) -> np.ndarray:
-    """Analytic expected misses for many (capacity, assoc) configs.
-
-    Bit-identical per element to
-    :func:`repro.uarch.cachemodel.expected_misses` on the same shard
-    stack: the warm/cold split and the sorted-unique histogram are
-    hoisted out of the per-config loop (each config's tail histogram is a
-    suffix of the global one because the warm distances are sorted), and
-    each *distinct* (capacity, effective assoc) pair runs the oracle's
-    exact arithmetic once on the same contiguous arrays.
-    """
-    from repro.uarch.shardstats import COLD
-
-    capacities = np.asarray(capacities, dtype=np.int64)
-    assocs = np.asarray(assocs, dtype=np.int64)
-    if capacities.shape != assocs.shape:
-        raise ValueError("capacities and assocs must have the same shape")
-    if np.any(capacities <= 0):
-        raise ValueError("capacity must be positive")
-    if np.any(assocs <= 0):
-        raise ValueError("associativity must be positive")
-    n_configs = len(capacities)
-    out = np.zeros(n_configs, dtype=float)
-    m = len(sorted_stack)
-    if m == 0 or n_configs == 0:
-        return out
-    obs.counter("kernel.batched_model_pairs").inc(n_configs)
-
-    split = int(np.searchsorted(sorted_stack, COLD, side="left"))
-    warm = sorted_stack[:split]
-    n_cold = m - split
-    values_all, counts_all = (
-        np.unique(warm, return_counts=True)
-        if len(warm)
-        else (warm, np.empty(0, dtype=np.int64))
-    )
-
-    assoc_eff = np.minimum(assocs, capacities)
-    memo: Dict[Tuple[int, int], float] = {}
-    for i in range(n_configs):
-        key = (int(capacities[i]), int(assoc_eff[i]))
-        cached = memo.get(key)
-        if cached is not None:
-            out[i] = cached
-            continue
-        capacity, assoc = key
-        sets = capacity // assoc
-        if sets <= 1:
-            # Fully associative: exact hit iff d < capacity.
-            result = float(len(warm) - np.searchsorted(warm, capacity)) + n_cold
-        else:
-            always_hit = int(np.searchsorted(warm, assoc))
-            if always_hit >= len(warm):
-                result = float(n_cold)
-            else:
-                suffix = int(np.searchsorted(values_all, assoc))
-                values = values_all[suffix:]
-                counts = counts_all[suffix:]
-                pmiss = _binom_sf(assoc, values, 1.0 / sets)
-                result = float((pmiss * counts).sum()) + n_cold
-        memo[key] = result
-        out[i] = result
-    return out
-
-
-def miss_counts_hierarchy_batch(
-    sorted_stack: np.ndarray,
-    l1_blocks: np.ndarray,
-    l1_assoc: np.ndarray,
-    l2_blocks: np.ndarray,
-    l2_assoc: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`repro.uarch.cachemodel.miss_counts_hierarchy`.
-
-    Both levels go through one :func:`expected_misses_batch` call so
-    distinct geometries dedupe across levels as well as across configs.
-    """
-    l1_blocks = np.asarray(l1_blocks, dtype=np.int64)
-    l2_blocks = np.asarray(l2_blocks, dtype=np.int64)
-    l1_assoc = np.asarray(l1_assoc, dtype=np.int64)
-    l2_assoc = np.asarray(l2_assoc, dtype=np.int64)
-    n_configs = len(l1_blocks)
-    both = expected_misses_batch(
-        sorted_stack,
-        np.concatenate([l1_blocks, l2_blocks]),
-        np.concatenate([l1_assoc, l2_assoc]),
-    )
-    l1, l2 = both[:n_configs], both[n_configs:]
-    # An inclusive hierarchy cannot miss more in L2 than in L1.
-    return l1, np.minimum(l1, l2)
+    return stack_distances_many([_block_ids(np.asarray(a), block_bytes) for a in address_streams])

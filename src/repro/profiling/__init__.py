@@ -21,7 +21,6 @@ from repro.profiling.reuse import (
     reuse_distances,
     mean_reuse_distance,
     stack_distances,
-    stack_distances_reference,
     reuse_distance_sums,
 )
 from repro.profiling.characteristics import (
@@ -41,7 +40,6 @@ __all__ = [
     "reuse_distances",
     "mean_reuse_distance",
     "stack_distances",
-    "stack_distances_reference",
     "reuse_distance_sums",
     "N_CHARACTERISTICS",
     "SOFTWARE_VARIABLE_NAMES",

@@ -11,24 +11,21 @@ Two related locality measures appear in the paper:
   what the timing models use internally.
 
 Both are computed exactly.  Re-use distances are vectorized with a lexsort.
-Stack distances have two exact implementations:
+Stack distances (:func:`stack_distances`) use one vectorized offline
+formulation for every input length.  Consecutive same-block repeats
+(ubiquitous in real traces: sequential access walks a cache block several
+times) are collapsed first — a repeat has stack distance 0 by definition
+and removing it provably changes no other access's distance.  On the
+collapsed stream, with ``prev[i]`` the previous access to access *i*'s
+block, the stack distance is the number of *first-in-window* accesses in
+``(prev[i], i)``, which reduces to
+``i - prev[i] - 1 - #{j < i : prev[j] > prev[i]}``.  The remaining term is
+a per-element inversion count, computed without a per-access loop by
+pairwise merge counting (:func:`_count_earlier_greater`), O(M log^2 M) of
+numpy work.
 
-* :func:`stack_distances_reference` — the classic Bennett-Kruskal algorithm
-  with a Fenwick (binary indexed) tree, O(M log M) for M accesses but a
-  per-access Python loop;
-* the default :func:`stack_distances` — a vectorized offline formulation.
-  Consecutive same-block repeats (ubiquitous in real traces: sequential
-  access walks a cache block several times) are collapsed first — a repeat
-  has stack distance 0 by definition and removing it provably changes no
-  other access's distance.  On the collapsed stream, with ``prev[i]`` the
-  previous access to access *i*'s block, the stack distance is the number
-  of *first-in-window* accesses in ``(prev[i], i)``, which reduces to
-  ``i - prev[i] - 1 - #{j < i : prev[j] > prev[i]}``.  The remaining term
-  is a per-element inversion count, computed without a per-access loop by
-  pairwise merge counting (:func:`_count_earlier_greater`), O(M log^2 M)
-  of numpy work.  Tiny inputs fall back to the reference.
-
-Both produce bit-identical outputs (asserted by the test suite).
+The test suite holds it to the Bennett-Kruskal Fenwick-tree loop in
+``tests/oracles/stack_distance.py``, with exact equality.
 """
 
 from __future__ import annotations
@@ -110,37 +107,9 @@ def reuse_distance_sums(
     return float(reuse_distances(addresses, positions, block_bytes).sum())
 
 
-class _Fenwick:
-    """Fenwick tree over [0, n): point update, prefix-sum query."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = np.zeros(n + 1, dtype=np.int64)
-
-    def add(self, i: int, delta: int) -> None:
-        i += 1
-        tree = self.tree
-        while i <= self.n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Sum of entries at indices < i."""
-        total = 0
-        tree = self.tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return int(total)
-
-
 #: Distance assigned to cold (first-touch) accesses: effectively infinite,
 #: they miss in any cache.
 COLD_DISTANCE = np.int64(2**62)
-
-#: Below this many accesses the constant factors of the vectorized path do
-#: not pay off; the Fenwick reference is used instead.
-_VECTORIZE_MIN = 64
 
 
 def stack_distances(
@@ -148,10 +117,6 @@ def stack_distances(
     block_bytes: int = 64,
 ) -> Tuple[np.ndarray, int]:
     """Exact LRU stack distance of every access in a stream.
-
-    Dispatches to the vectorized O(M log^2 M) kernel for non-tiny streams
-    and to the Fenwick-tree reference otherwise; both produce identical
-    outputs.
 
     Returns
     -------
@@ -169,50 +134,7 @@ def stack_distances(
 
 def stack_distances_from_blocks(blocks: np.ndarray) -> Tuple[np.ndarray, int]:
     """:func:`stack_distances` on pre-computed block (line) ids."""
-    blocks = np.asarray(blocks, dtype=np.int64)
-    if len(blocks) < _VECTORIZE_MIN:
-        return _stack_distances_fenwick(blocks)
-    return _stack_distances_vectorized(blocks)
-
-
-def stack_distances_reference(
-    addresses: np.ndarray,
-    block_bytes: int = 64,
-) -> Tuple[np.ndarray, int]:
-    """The Bennett-Kruskal Fenwick-tree implementation (per-access loop).
-
-    Kept as the equivalence oracle for :func:`stack_distances`.
-    """
-    blocks = _block_ids(np.asarray(addresses), block_bytes)
-    return _stack_distances_fenwick(blocks)
-
-
-def _stack_distances_fenwick(blocks: np.ndarray) -> Tuple[np.ndarray, int]:
-    m = len(blocks)
-    distances = np.empty(m, dtype=np.int64)
-    if m == 0:
-        return distances, 0
-
-    # Compact block ids to 0..n_blocks-1 for dictionary-free indexing.
-    unique, compact = np.unique(blocks, return_inverse=True)
-    last_access = np.full(len(unique), -1, dtype=np.int64)
-
-    tree = _Fenwick(m)
-    cold = COLD_DISTANCE
-    n_cold = 0
-    for i in range(m):
-        b = compact[i]
-        prev = last_access[b]
-        if prev < 0:
-            distances[i] = cold
-            n_cold += 1
-        else:
-            # Distinct blocks touched since prev = number of "most recent
-            # access" markers strictly after prev.
-            distances[i] = tree.prefix(m) - tree.prefix(int(prev) + 1)
-            tree.add(int(prev), -1)
-        tree.add(i, +1)
-        last_access[b] = i
+    distances, n_cold, _, _ = stack_distances_and_prev(blocks)
     return distances, n_cold
 
 
@@ -268,7 +190,7 @@ def stack_distances_and_prev(
     blocks = np.asarray(blocks, dtype=np.int64)
     m = len(blocks)
     keep = np.empty(m, dtype=bool)
-    keep[0] = True
+    keep[:1] = True  # a slice, so an empty stream flows through unchanged
     np.not_equal(blocks[1:], blocks[:-1], out=keep[1:])
     idx = np.flatnonzero(keep)
     collapsed = blocks[idx]
@@ -285,11 +207,6 @@ def stack_distances_and_prev(
     distances = np.zeros(m, dtype=np.int64)   # repeats: distance 0
     distances[idx] = collapsed_distances
     return distances, int(cold_mask.sum()), collapsed, prev
-
-
-def _stack_distances_vectorized(blocks: np.ndarray) -> Tuple[np.ndarray, int]:
-    distances, n_cold, _, _ = stack_distances_and_prev(blocks)
-    return distances, n_cold
 
 
 def _count_earlier_greater(values: np.ndarray) -> np.ndarray:

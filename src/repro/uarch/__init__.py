@@ -18,8 +18,8 @@ from repro.uarch.config import (
     sample_configs,
 )
 from repro.uarch.shardstats import ShardStats, compute_shard_stats
-from repro.uarch.cachemodel import expected_misses, miss_counts_hierarchy
-from repro.uarch.pipeline import CycleBreakdown, cycle_breakdown, simulate_cpi
+from repro.uarch.cachemodel import expected_misses_batch, miss_counts_hierarchy_batch
+from repro.uarch.pipeline import CycleBreakdown, cycle_breakdown_batch
 from repro.uarch.simulator import Simulator
 from repro.uarch.gpu import (
     GpuConfig,
@@ -29,10 +29,9 @@ from repro.uarch.gpu import (
     gpu_config_from_levels,
     gpu_design_space_size,
     gpu_occupancy,
-    gpu_cycle_breakdown,
+    gpu_cycle_breakdown_batch,
     reference_gpu_config,
     sample_gpu_configs,
-    simulate_gpu_cpi,
     warps_in_flight,
 )
 from repro.uarch.backends import (
@@ -58,11 +57,10 @@ __all__ = [
     "sample_configs",
     "ShardStats",
     "compute_shard_stats",
-    "expected_misses",
-    "miss_counts_hierarchy",
+    "expected_misses_batch",
+    "miss_counts_hierarchy_batch",
     "CycleBreakdown",
-    "cycle_breakdown",
-    "simulate_cpi",
+    "cycle_breakdown_batch",
     "Simulator",
     "GpuConfig",
     "GpuSimulator",
@@ -71,10 +69,9 @@ __all__ = [
     "gpu_config_from_levels",
     "gpu_design_space_size",
     "gpu_occupancy",
-    "gpu_cycle_breakdown",
+    "gpu_cycle_breakdown_batch",
     "reference_gpu_config",
     "sample_gpu_configs",
-    "simulate_gpu_cpi",
     "warps_in_flight",
     "Backend",
     "BackendEvaluation",

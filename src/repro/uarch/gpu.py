@@ -39,13 +39,12 @@ The property-test suite in ``tests/test_uarch_gpu.py`` enforces both.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.isa.instructions import OpClass
-from repro.uarch.cachemodel import miss_counts_hierarchy
+from repro.uarch.cachemodel import shard_miss_counts
 from repro.uarch.config import CACHE_BLOCK_BYTES, ROB_LEVELS
 from repro.uarch.pipeline import CycleBreakdown
 from repro.uarch.shardstats import ShardStats
@@ -223,12 +222,6 @@ def sample_gpu_configs(n: int, rng: np.random.Generator) -> List[GpuConfig]:
     return configs
 
 
-def enumerate_gpu_configs() -> Iterator[GpuConfig]:
-    """Enumerate the entire GPU design space (use sparingly)."""
-    for levels in itertools.product(*(range(c) for c in _GPU_LEVEL_COUNTS)):
-        yield gpu_config_from_levels(levels)
-
-
 def reference_gpu_config() -> GpuConfig:
     """A mid-range GPU used as the default in examples and tests."""
     return gpu_config_from_levels((2, 3, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 1))
@@ -280,27 +273,6 @@ def _transactions_per_memop(stats: ShardStats, config: GpuConfig) -> float:
     return 1.0 + (config.lanes - 1) * (1.0 - spatial)
 
 
-def gpu_cycle_breakdown(stats: ShardStats, config: GpuConfig) -> CycleBreakdown:
-    """Cycle components of ``stats`` on a GPU design.
-
-    Returns the same :class:`CycleBreakdown` shape as the CPU backend
-    (``branch`` holds the divergence component) so downstream reporting
-    and the two-backend contract suite treat both models uniformly.
-    """
-    l1_blocks = config.l1_kb * 1024 // CACHE_BLOCK_BYTES
-    l2_blocks = config.l2_kb * 1024 // CACHE_BLOCK_BYTES
-    li_blocks = config.icache_kb * 1024 // CACHE_BLOCK_BYTES
-    l1d_miss, l2d_miss = miss_counts_hierarchy(
-        stats.data_stack, l1_blocks, GPU_L1_ASSOC, l2_blocks, GPU_L2_ASSOC
-    )
-    l1i_miss, l2i_miss = miss_counts_hierarchy(
-        stats.inst_stack, li_blocks, GPU_L1_ASSOC, l2_blocks, GPU_L2_ASSOC
-    )
-    return _gpu_breakdown_from_misses(
-        stats, config, l1d_miss, l2d_miss, l1i_miss, l2i_miss
-    )
-
-
 def _gpu_breakdown_from_misses(
     stats: ShardStats,
     config: GpuConfig,
@@ -309,12 +281,7 @@ def _gpu_breakdown_from_misses(
     l1i_miss: float,
     l2i_miss: float,
 ) -> CycleBreakdown:
-    """Assemble GPU cycle components from pre-computed miss counts.
-
-    Shared by the per-pair and batched paths exactly like
-    :func:`repro.uarch.pipeline._breakdown_from_misses`, so the two are
-    bit-identical.
-    """
+    """GPU cycle components of one design given its hierarchy miss counts."""
     n = stats.n
     counts = stats.opclass_counts.astype(float)
     warps = warps_in_flight(config)
@@ -365,75 +332,29 @@ def _gpu_breakdown_from_misses(
 def gpu_cycle_breakdown_batch(
     stats: ShardStats, configs: Sequence[GpuConfig]
 ) -> List[CycleBreakdown]:
-    """:func:`gpu_cycle_breakdown` for many designs of one shard.
+    """Cycle components of one shard on each of ``configs`` GPU designs.
 
-    The stack-distance miss histograms run once per *distinct* cache
-    geometry through the batched kernel, exactly like the CPU path.
+    The same :class:`CycleBreakdown` shape as the CPU backend (``branch``
+    holds the divergence component), so reporting and the contract suite
+    treat both models uniformly.  A single design is a batch of one.
     """
-    from repro.kernels.batched import miss_counts_hierarchy_batch
-
-    if not configs:
-        return []
-    l1d_blocks = np.array(
-        [c.l1_kb * 1024 // CACHE_BLOCK_BYTES for c in configs], dtype=np.int64
+    misses = shard_miss_counts(
+        stats,
+        [c.l1_kb for c in configs],
+        [c.icache_kb for c in configs],
+        [c.l2_kb for c in configs],
+        [GPU_L1_ASSOC] * len(configs),
+        [GPU_L2_ASSOC] * len(configs),
     )
-    l1i_blocks = np.array(
-        [c.icache_kb * 1024 // CACHE_BLOCK_BYTES for c in configs], dtype=np.int64
-    )
-    l2_blocks = np.array(
-        [c.l2_kb * 1024 // CACHE_BLOCK_BYTES for c in configs], dtype=np.int64
-    )
-    l1_assoc = np.full(len(configs), GPU_L1_ASSOC, dtype=np.int64)
-    l2_assoc = np.full(len(configs), GPU_L2_ASSOC, dtype=np.int64)
-
-    l1d, l2d = miss_counts_hierarchy_batch(
-        stats.data_stack, l1d_blocks, l1_assoc, l2_blocks, l2_assoc
-    )
-    l1i, l2i = miss_counts_hierarchy_batch(
-        stats.inst_stack, l1i_blocks, l1_assoc, l2_blocks, l2_assoc
-    )
-    return [
-        _gpu_breakdown_from_misses(
-            stats, config, float(l1d[j]), float(l2d[j]), float(l1i[j]), float(l2i[j])
-        )
-        for j, config in enumerate(configs)
-    ]
-
-
-def simulate_gpu_cpi(stats: ShardStats, config: GpuConfig) -> float:
-    """Cycles per (trace) instruction of one shard on one GPU design."""
-    return gpu_cycle_breakdown(stats, config).total / stats.n
-
-
-def simulate_gpu_cpi_batch(
-    stats: ShardStats, configs: Sequence[GpuConfig]
-) -> np.ndarray:
-    """CPI of one shard on many GPU designs (batched miss model)."""
-    return np.array(
-        [b.total / stats.n for b in gpu_cycle_breakdown_batch(stats, configs)],
-        dtype=float,
-    )
+    return [_gpu_breakdown_from_misses(stats, c, *m) for c, m in zip(configs, misses)]
 
 
 class GpuSimulator(Simulator):
     """Trace-driven GPU throughput simulation over the GPU design space.
 
-    Shares the shard-statistics cache, the batched
-    :meth:`~repro.uarch.simulator.Simulator.stats_for_many` path, and
-    every aggregation entry point with the CPU simulator — only the
-    cycle assembly differs — so ``repro.kernels.batched`` and the
+    Everything but the cycle assembler (the ``breakdown_batch`` seam) is
+    shared with the CPU simulator, so the batched kernels and the
     store-backed drivers work unchanged against this backend.
     """
 
-    def cpi_from_stats(self, stats: ShardStats, config: GpuConfig) -> float:
-        return simulate_gpu_cpi(stats, config)
-
-    def cpi_batch_from_stats(
-        self, stats: ShardStats, configs: Sequence[GpuConfig]
-    ) -> np.ndarray:
-        return simulate_gpu_cpi_batch(stats, configs)
-
-    def breakdown_from_stats(
-        self, stats: ShardStats, config: GpuConfig
-    ) -> CycleBreakdown:
-        return gpu_cycle_breakdown(stats, config)
+    breakdown_batch = staticmethod(gpu_cycle_breakdown_batch)

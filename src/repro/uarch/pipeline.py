@@ -30,12 +30,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.isa.instructions import FU_ISSUE_INTERVAL
-from repro.uarch.cachemodel import miss_counts_hierarchy
-from repro.uarch.config import (
-    CACHE_BLOCK_BYTES,
-    MEMORY_LATENCY,
-    PipelineConfig,
-)
+from repro.uarch.cachemodel import shard_miss_counts
+from repro.uarch.config import MEMORY_LATENCY, PipelineConfig
 from repro.uarch.shardstats import ShardStats
 
 #: Cycles of front-end refill charged per mispredict, as a function of
@@ -73,22 +69,6 @@ def _fu_units(config: PipelineConfig) -> np.ndarray:
     )
 
 
-def cycle_breakdown(stats: ShardStats, config: PipelineConfig) -> CycleBreakdown:
-    """Compute the cycle components of ``stats`` on ``config``."""
-    l1d_blocks = config.dcache_kb * 1024 // CACHE_BLOCK_BYTES
-    l2_blocks = config.l2_kb * 1024 // CACHE_BLOCK_BYTES
-    l1i_blocks = config.icache_kb * 1024 // CACHE_BLOCK_BYTES
-    l1d_miss, l2d_miss = miss_counts_hierarchy(
-        stats.data_stack, l1d_blocks, config.l1_assoc, l2_blocks, config.l2_assoc
-    )
-    l1i_miss, l2i_miss = miss_counts_hierarchy(
-        stats.inst_stack, l1i_blocks, config.l1_assoc, l2_blocks, config.l2_assoc
-    )
-    return _breakdown_from_misses(
-        stats, config, l1d_miss, l2d_miss, l1i_miss, l2i_miss
-    )
-
-
 def _breakdown_from_misses(
     stats: ShardStats,
     config: PipelineConfig,
@@ -97,14 +77,7 @@ def _breakdown_from_misses(
     l1i_miss: float,
     l2i_miss: float,
 ) -> CycleBreakdown:
-    """Cycle components given pre-computed hierarchy miss counts.
-
-    Shared by the per-pair path (misses from
-    :func:`miss_counts_hierarchy`) and the batched path (misses from
-    :func:`repro.kernels.batched.miss_counts_hierarchy_batch`) — the two
-    produce bit-identical miss counts, so the assembled components match
-    exactly too.
-    """
+    """Cycle components of one configuration given its hierarchy miss counts."""
     n = stats.n
     counts = stats.opclass_counts.astype(float)
 
@@ -153,55 +126,19 @@ def _breakdown_from_misses(
 def cycle_breakdown_batch(
     stats: ShardStats, configs: Sequence[PipelineConfig]
 ) -> List[CycleBreakdown]:
-    """:func:`cycle_breakdown` for many configurations of one shard.
+    """Cycle components of one shard on each of ``configs``.
 
-    The expensive part — the analytic miss model's histogram pass over
-    the shard's stack distances — runs once per *distinct* cache
-    geometry via :func:`repro.kernels.batched.miss_counts_hierarchy_batch`
-    instead of once per configuration; the cheap per-config assembly
-    arithmetic is unchanged, so every component is bit-identical to the
-    per-pair path.
+    The expensive part, the miss model's histogram pass over the shard's
+    stack distances, runs once per *distinct* cache geometry
+    (:func:`repro.uarch.cachemodel.shard_miss_counts`); the cheap
+    per-config assembly follows.  A single configuration is a batch of one.
     """
-    from repro.kernels.batched import miss_counts_hierarchy_batch
-
-    if not configs:
-        return []
-    l1d_blocks = np.array(
-        [c.dcache_kb * 1024 // CACHE_BLOCK_BYTES for c in configs], dtype=np.int64
+    misses = shard_miss_counts(
+        stats,
+        [c.dcache_kb for c in configs],
+        [c.icache_kb for c in configs],
+        [c.l2_kb for c in configs],
+        [c.l1_assoc for c in configs],
+        [c.l2_assoc for c in configs],
     )
-    l1i_blocks = np.array(
-        [c.icache_kb * 1024 // CACHE_BLOCK_BYTES for c in configs], dtype=np.int64
-    )
-    l2_blocks = np.array(
-        [c.l2_kb * 1024 // CACHE_BLOCK_BYTES for c in configs], dtype=np.int64
-    )
-    l1_assoc = np.array([c.l1_assoc for c in configs], dtype=np.int64)
-    l2_assoc = np.array([c.l2_assoc for c in configs], dtype=np.int64)
-
-    l1d, l2d = miss_counts_hierarchy_batch(
-        stats.data_stack, l1d_blocks, l1_assoc, l2_blocks, l2_assoc
-    )
-    l1i, l2i = miss_counts_hierarchy_batch(
-        stats.inst_stack, l1i_blocks, l1_assoc, l2_blocks, l2_assoc
-    )
-    return [
-        _breakdown_from_misses(
-            stats, config, float(l1d[j]), float(l2d[j]), float(l1i[j]), float(l2i[j])
-        )
-        for j, config in enumerate(configs)
-    ]
-
-
-def simulate_cpi(stats: ShardStats, config: PipelineConfig) -> float:
-    """Cycles per instruction of one shard on one configuration."""
-    return cycle_breakdown(stats, config).total / stats.n
-
-
-def simulate_cpi_batch(
-    stats: ShardStats, configs: Sequence[PipelineConfig]
-) -> np.ndarray:
-    """CPI of one shard on many configurations (batched miss model)."""
-    return np.array(
-        [b.total / stats.n for b in cycle_breakdown_batch(stats, configs)],
-        dtype=float,
-    )
+    return [_breakdown_from_misses(stats, c, *m) for c, m in zip(configs, misses)]

@@ -8,12 +8,7 @@ import numpy as np
 
 from repro.isa.trace import Trace
 from repro.uarch.config import PipelineConfig
-from repro.uarch.pipeline import (
-    CycleBreakdown,
-    cycle_breakdown,
-    simulate_cpi,
-    simulate_cpi_batch,
-)
+from repro.uarch.pipeline import CycleBreakdown, cycle_breakdown_batch
 from repro.uarch.shardstats import ShardStats, compute_shard_stats_many
 
 
@@ -25,7 +20,13 @@ class Simulator:
     closed-form arithmetic.  The simulator therefore memoizes statistics by
     shard name so that profiling hundreds of architectures per application
     costs one pass over each shard.
+
+    The timing model is the one seam :attr:`breakdown_batch`, mapping
+    ``(stats, configs)`` to a :class:`CycleBreakdown` per config; every
+    entry point below is built on it, and a backend rebinds only it.
     """
+
+    breakdown_batch = staticmethod(cycle_breakdown_batch)
 
     def __init__(self):
         self._stats: Dict[str, ShardStats] = {}
@@ -46,26 +47,21 @@ class Simulator:
                 self._stats[shard.name] = stats
         return [self._stats[s.name] for s in shards]
 
-    def cpi_from_stats(self, stats: ShardStats, config: PipelineConfig) -> float:
-        """CPI of pre-computed shard statistics on one configuration.
-
-        Backends override this one method (plus :meth:`breakdown_from_stats`
-        and :meth:`cpi_batch_from_stats`) to swap the timing model while
-        keeping the caching/batching entry points identical.
-        """
-        return simulate_cpi(stats, config)
-
     def cpi_batch_from_stats(
         self, stats: ShardStats, configs: Sequence[PipelineConfig]
     ) -> np.ndarray:
         """CPI of pre-computed statistics on many configs (batched)."""
-        return simulate_cpi_batch(stats, configs)
+        return np.array([b.total / stats.n for b in self.breakdown_batch(stats, configs)])
 
     def breakdown_from_stats(
         self, stats: ShardStats, config: PipelineConfig
     ) -> CycleBreakdown:
         """Cycle-component breakdown of pre-computed statistics."""
-        return cycle_breakdown(stats, config)
+        return self.breakdown_batch(stats, [config])[0]
+
+    def cpi_from_stats(self, stats: ShardStats, config: PipelineConfig) -> float:
+        """CPI of pre-computed shard statistics on one configuration."""
+        return self.breakdown_from_stats(stats, config).total / stats.n
 
     def cpi(self, shard: Trace, config: PipelineConfig) -> float:
         """Cycles per instruction of ``shard`` on ``config``."""

@@ -2,8 +2,8 @@
 
 :func:`repro.uarch.shardstats.dataflow_cycles_many` computes the same
 schedule for many shards and every ROB window at once; the equivalence
-suite in ``tests/test_dataflow_oracle.py`` requires it to equal this loop
-exactly.
+suite in ``tests/test_dataflow_equivalence.py`` requires it to equal this
+loop exactly.
 """
 
 from __future__ import annotations

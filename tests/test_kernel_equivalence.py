@@ -2,22 +2,27 @@
 
 The cache simulator's numpy LRU path must reproduce the per-access
 reference loop bit-for-bit (miss counts *and* final MRU state), and the
-vectorized stack-distance kernel must match the Fenwick-tree oracle,
-across randomized geometries and stream shapes.  Streams are built with
+vectorized stack-distance kernel must match the Fenwick-tree oracle in
+``tests/oracles/stack_distance.py``, across randomized geometries and
+stream shapes — down to empty and single-access streams.  Streams are built with
 numpy generators from hypothesis-drawn parameters so they comfortably
 exceed the fast paths' minimum-length dispatch thresholds.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.profiling.reuse import (
     COLD_DISTANCE,
     stack_distances,
-    stack_distances_reference,
+    stack_distances_from_blocks,
 )
 from repro.spmv import SetAssociativeCache
+from tests.oracles.stack_distance import (
+    stack_distances_fenwick,
+    stack_distances_reference,
+)
 
 geometries = st.tuples(
     st.sampled_from([16, 32, 64, 128]),      # line bytes
@@ -30,6 +35,18 @@ stream_shapes = st.tuples(
     st.integers(260, 800),                   # length (>= vectorize minimum)
     st.sampled_from([8, 64, 512, 4096]),     # distinct lines in the stream
     st.sampled_from([1, 2, 4, 8]),           # run length (consecutive repeats)
+)
+
+
+#: Block-id streams of length 0-63: random over a dense or a sparse id
+#: range, one block repeated, and cyclic all-repeat sweeps.
+short_block_streams = st.one_of(
+    st.lists(st.integers(0, 12), max_size=63),
+    st.lists(st.integers(-(2**40), 2**40), max_size=63),
+    st.builds(lambda b, n: [b] * n, st.integers(0, 2**40), st.integers(0, 63)),
+    st.builds(
+        lambda k, r: list(range(k)) * r, st.integers(1, 8), st.integers(1, 7)
+    ),
 )
 
 
@@ -109,6 +126,18 @@ class TestStackDistanceEquivalence:
         fast_d, fast_cold = stack_distances(addrs)
         ref_d, ref_cold = stack_distances_reference(addrs)
         assert fast_cold == ref_cold
+        assert np.array_equal(fast_d, ref_d)
+
+    @given(short_block_streams)
+    @example([])
+    @settings(max_examples=200, deadline=None)
+    def test_short_streams_match_fenwick(self, blocks):
+        """Every stream shape of length 0-63 equals the Fenwick loop."""
+        blocks = np.array(blocks, dtype=np.int64)
+        fast_d, fast_cold = stack_distances_from_blocks(blocks)
+        ref_d, ref_cold = stack_distances_fenwick(blocks)
+        assert fast_cold == ref_cold
+        assert fast_d.dtype == ref_d.dtype
         assert np.array_equal(fast_d, ref_d)
 
     @given(st.integers(0, 2**31 - 1))

@@ -1,12 +1,12 @@
 """Property tests: the batched SoA kernels are exact replacements.
 
-``repro.kernels.batched`` restructures the per-pair cache simulator,
-stack-distance kernel, and analytic miss model so thousands of
-(config, trace) pairs run in one numpy pass.  The retained per-pair
-implementations are the reference oracles here; every batched result
-must be **bit-identical** — miss counts, histograms, and the analytic
-model's floats — across random geometries, streams, batch shapes
-(including batch=1 and ragged stream lengths), and replacement policies.
+``repro.kernels.batched`` and ``repro.uarch.cachemodel`` run thousands of
+(config, trace) pairs in one numpy pass.  The per-pair cache simulator,
+per-stream stack distances, and ``tests/oracles/cachemodel.py`` are the
+references; every batched result must be **bit-identical** — miss counts,
+histograms, and the analytic model's floats — across random geometries,
+streams, batch shapes (including batch=1 and ragged stream lengths), and
+replacement policies.
 """
 
 import numpy as np
@@ -16,15 +16,14 @@ from hypothesis import strategies as st
 from repro.kernels.batched import (
     DIRECT_MIN,
     MAX_BATCH,
-    expected_misses_batch,
-    miss_counts_hierarchy_batch,
     simulate_caches,
     stack_distances_many,
     stack_distances_many_addresses,
 )
 from repro.profiling.reuse import COLD_DISTANCE, stack_distances_from_blocks
 from repro.spmv import SetAssociativeCache
-from repro.uarch.cachemodel import expected_misses, miss_counts_hierarchy
+from repro.uarch.cachemodel import expected_misses_batch, miss_counts_hierarchy_batch
+from tests.oracles.cachemodel import expected_misses, miss_counts_hierarchy
 
 geometries = st.tuples(
     st.sampled_from([16, 32, 64, 128]),      # line bytes
@@ -215,19 +214,17 @@ class TestAnalyticModelEquivalence:
 
 
 class TestPipelineBatchEquivalence:
-    """simulate_cpi_batch / run_trace_batch ride the kernels: spot-check
+    """Simulator.cpi_batch / run_trace_batch ride the kernels: spot-check
     bit-identity end-to-end on real generated inputs."""
 
     def test_cpi_batch_matches_per_config(self, astar_trace):
         from repro.uarch import Simulator, sample_configs
-        from repro.uarch.pipeline import simulate_cpi_batch
 
         rng = np.random.default_rng(11)
         configs = sample_configs(16, rng)
         simulator = Simulator()
         shard = astar_trace.shards(2_000)[0]
-        stats = simulator.stats_for(shard)
-        batched = simulate_cpi_batch(stats, configs)
+        batched = simulator.cpi_batch(shard, configs)
         for j, config in enumerate(configs):
             assert batched[j] == simulator.cpi(shard, config)
 

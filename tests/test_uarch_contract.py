@@ -101,7 +101,12 @@ class TestSimulatorContract:
             assert stats.dataflow_cycles == solo.dataflow_cycles
 
     def test_batch_bit_identical_to_per_pair(self, backend, simulator, shards):
-        configs = backend.sample_configs(8, np.random.default_rng(11))
+        """64 configs revisit cache geometries (the miss model's
+        (capacity, assoc) memo); each equals a batch of one."""
+        configs = backend.sample_configs(64, np.random.default_rng(11))
+        stats = simulator.stats_for(shards[0])
+        breakdowns = simulator.breakdown_batch(stats, configs)
+        assert breakdowns == [simulator.breakdown(shards[0], c) for c in configs]
         batch = simulator.cpi_batch(shards[0], configs)
         per_pair = np.array([simulator.cpi(shards[0], c) for c in configs])
         assert np.array_equal(batch, per_pair)

@@ -22,15 +22,23 @@ from hypothesis import strategies as st
 
 from repro.isa import OpClass, Trace, empty_trace
 from repro.parallel import parallel_map
-from repro.uarch import compute_shard_stats, gpu_config_from_levels
+from repro.uarch import compute_shard_stats, gpu_config_from_levels, sample_gpu_configs
 from repro.uarch.gpu import (
     _GPU_LEVEL_COUNTS,
+    GPU_L1_ASSOC,
+    GPU_L2_ASSOC,
     GpuSimulator,
+    _gpu_breakdown_from_misses,
     coalescing_fraction,
-    gpu_cycle_breakdown,
-    simulate_gpu_cpi,
+    gpu_cycle_breakdown_batch,
     warps_in_flight,
 )
+from tests.oracles.cachemodel import shard_miss_counts
+
+
+# Single-design entry points: batches of one through the seam.
+gpu_cycle_breakdown = GpuSimulator().breakdown_from_stats
+simulate_gpu_cpi = GpuSimulator().cpi_from_stats
 
 
 def _make_shard(n=400, mem_rate=0.3, mispredicts=5, seed=0):
@@ -180,10 +188,22 @@ class TestDeterminism:
     def test_batched_path_bit_identical_to_per_pair(self):
         shard = _make_shard(seed=2)
         rng = np.random.default_rng(7)
-        from repro.uarch import sample_gpu_configs
-
         configs = sample_gpu_configs(12, rng)
         sim = GpuSimulator()
         batch = sim.cpi_batch(shard, configs)
         per_pair = np.array([sim.cpi(shard, c) for c in configs])
         assert np.array_equal(batch, per_pair)
+
+    def test_matches_per_config_oracle(self):
+        """Each breakdown equals the assembly of the per-configuration
+        oracle's miss counts, bit for bit."""
+        shard = _make_shard(n=3000, seed=5)
+        # A code footprint larger than any icache, so both streams miss.
+        shard.data["iaddr"] = np.random.default_rng(5).integers(0, 2**14, 3000) * 64
+        stats = compute_shard_stats(shard)
+        configs = sample_gpu_configs(16, np.random.default_rng(4))
+        for c, got in zip(configs, gpu_cycle_breakdown_batch(stats, configs)):
+            misses = shard_miss_counts(
+                stats, c.l1_kb, c.icache_kb, c.l2_kb, GPU_L1_ASSOC, GPU_L2_ASSOC
+            )
+            assert got == _gpu_breakdown_from_misses(stats, c, *misses)

@@ -10,14 +10,26 @@ from repro.uarch import (
     Simulator,
     compute_shard_stats,
     config_from_levels,
-    cycle_breakdown,
-    expected_misses,
-    miss_counts_hierarchy,
+    cycle_breakdown_batch,
+    expected_misses_batch,
+    miss_counts_hierarchy_batch,
     reference_config,
-    simulate_cpi,
+    sample_configs,
 )
 from repro.uarch.cachemodel import _binom_sf
+from repro.uarch.pipeline import _breakdown_from_misses
 from repro.uarch.shardstats import COLD
+from tests.oracles.cachemodel import shard_miss_counts
+
+
+# Single-configuration entry points: batches of one through production code.
+cycle_breakdown = Simulator().breakdown_from_stats
+simulate_cpi = Simulator().cpi_from_stats
+
+
+def expected_misses(sorted_stack, capacity, assoc):
+    [misses] = expected_misses_batch(sorted_stack, [capacity], [assoc])
+    return float(misses)
 
 
 class TestBinomialSurvival:
@@ -87,7 +99,7 @@ class TestExpectedMisses:
 
     def test_hierarchy_l2_not_more_than_l1(self):
         stack = np.sort(np.array([0, 3, 10, 100, 5000, COLD]))
-        l1, l2 = miss_counts_hierarchy(stack, 64, 2, 4096, 8)
+        [l1], [l2] = miss_counts_hierarchy_batch(stack, [64], [2], [4096], [8])
         assert l2 <= l1
 
 
@@ -205,6 +217,17 @@ class TestTimingModel:
         config = reference_config()
         assert simulate_cpi(stats, config) == simulate_cpi(stats, config)
 
+    def test_matches_per_config_oracle(self):
+        """Each breakdown equals the assembly of the per-configuration
+        oracle's miss counts, bit for bit."""
+        stats = compute_shard_stats(_make_shard(n=2000, mem_rate=0.4, seed=7))
+        configs = sample_configs(16, np.random.default_rng(5))
+        for c, got in zip(configs, cycle_breakdown_batch(stats, configs)):
+            misses = shard_miss_counts(
+                stats, c.dcache_kb, c.icache_kb, c.l2_kb, c.l1_assoc, c.l2_assoc
+            )
+            assert got == _breakdown_from_misses(stats, c, *misses)
+
 
 class TestSimulator:
     def test_stats_cached_by_name(self, astar_trace):
@@ -215,8 +238,6 @@ class TestSimulator:
         assert a is b
 
     def test_cpi_matrix_shape(self, astar_trace, rng):
-        from repro.uarch import sample_configs
-
         sim = Simulator()
         shards = astar_trace.shards(2_000)[:3]
         configs = sample_configs(4, rng)
