@@ -47,6 +47,7 @@ from repro.serve import (
     demo_dataset,
     outlier_profiles,
 )
+from repro.stream import DriftConfig
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
@@ -61,6 +62,10 @@ SHARD_PROCESSES = 2 if SMOKE else 4
 SOAK_CLIENTS = 200 if SMOKE else 4_000
 
 RESULTS: dict = {}
+
+#: The paper's §3.2–3.3 update trigger: re-specify once 10 or more
+#: profiles err beyond 1.5x the steady-state error.
+PAPER_TRIGGER = DriftConfig(min_fill=10, trip_ratio=1.5, patience=1)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -86,9 +91,8 @@ def service(tmp_path_factory):
         demo_dataset(n_apps=4, n_per_app=30, seed=0),
         tmp_path_factory.mktemp("registry"),
         generations=2,
-        update_generations=1,
         population_size=8,
-        min_update_profiles=10,
+        drift_config=PAPER_TRIGGER,
         batch_config=BatchConfig(max_batch=64, max_latency_s=0.002),
     )
     with ServerThread(server) as thread:
@@ -195,8 +199,8 @@ class TestServeThroughput:
                 {"x": p.x.tolist(), "y": p.y.tolist(), "z": p.z}
                 for p in outlier_profiles("hot-new-app", n=12)
             ]
-            reply = client.observe("hot-new-app", profiles)
-            assert reply["update_scheduled"], (
+            reply = client.observe_stream("hot-new-app", profiles)
+            assert reply["respec_scheduled"], (
                 "outlier application failed to trigger an update: "
                 f"{reply}"
             )
@@ -236,9 +240,7 @@ def fleet(tmp_path_factory):
         tmp_path_factory.mktemp("registry_sharded"),
         n_shards=SHARDS,
         generations=2,
-        update_generations=1,
         population_size=8,
-        min_update_profiles=10,
         batch_config=BatchConfig(max_batch=64, max_latency_s=0.002),
     )
     with supervisor:

@@ -11,12 +11,17 @@ S, and handles perturbations:
 3. If not, the error may still be an outlier, so the manager requests more
    profiles (10-20 additional points suffice in practice) before deciding.
 4. Once enough evidence accrues, the manager *updates*: the new profiles
-   join S and the genetic heuristic re-specifies and refits the model with
-   the new application's profiles weighted up.
+   join S and the genetic heuristic re-specifies and refits the model over
+   the grown dataset (every profile weighted alike).
 
 The profile-accrual threshold also implements the paper's *hysteresis*:
 systems that profile periodically and selectively only trigger updates
 after sufficient data accumulates.
+
+This is the library-level reproduction of the policy.  A served model runs
+the same trigger as a setting of its streaming respecifier's drift gate
+(:class:`repro.stream.DriftConfig`), whose baseline is the same GA error
+this manager calls :attr:`ModelManager.steady_state_error`.
 """
 
 from __future__ import annotations
@@ -27,8 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.dataset import ProfileDataset, ProfileRecord
-from repro.core.fitness import DEFAULT_TRAINING_WEIGHT
-from repro.core.genetic import GeneticSearch, SearchResult
+from repro.core.genetic import GeneticSearch
 from repro.core.metrics import median_error
 from repro.core.model import InferredModel
 
@@ -64,7 +68,6 @@ class ModelManager:
         update_generations: int = 5,
         min_update_profiles: int = DEFAULT_MIN_UPDATE_PROFILES,
         error_tolerance: float = DEFAULT_ERROR_TOLERANCE,
-        training_weight: float = DEFAULT_TRAINING_WEIGHT,
     ):
         if len(dataset) == 0:
             raise ValueError("boot-strap the manager with a non-empty dataset")
@@ -74,12 +77,10 @@ class ModelManager:
         self.update_generations = update_generations
         self.min_update_profiles = min_update_profiles
         self.error_tolerance = error_tolerance
-        self.training_weight = training_weight
 
         self.model: Optional[InferredModel] = None
         self.steady_state_error: float = np.inf
         self._pending: Dict[str, List[ProfileRecord]] = {}
-        self._last_result: Optional[SearchResult] = None
 
     # -- bootstrap -----------------------------------------------------------------
 
@@ -90,16 +91,13 @@ class ModelManager:
         boot-strapped with data from benchmark suites" (§3.2).
         """
         result = self.search.run(self.dataset, self.generations)
-        self._last_result = result
         self.model = result.best_model(self.dataset)
         self.steady_state_error = result.best_fitness.mean_error
         return self.model
 
     # -- perturbation handling --------------------------------------------------------
 
-    def observe(
-        self, profiles: Sequence[ProfileRecord], auto_update: bool = True
-    ) -> ObservationOutcome:
+    def observe(self, profiles: Sequence[ProfileRecord]) -> ObservationOutcome:
         """Absorb profiles of one (possibly new) application.
 
         Checks model accuracy on the profiles, queues them, and — once the
@@ -126,7 +124,7 @@ class ModelManager:
         if accurate:
             # Shares behavior with observed software: absorb silently.
             self._absorb(application)
-        elif len(pending) >= self.min_update_profiles and auto_update:
+        elif len(pending) >= self.min_update_profiles:
             self._absorb(application)
             self.update()
             update_triggered = True
@@ -144,7 +142,6 @@ class ModelManager:
         """Re-specify and refit the model over the current dataset (§3.3)."""
         self._require_trained()
         result = self.search.update(self.dataset, self.update_generations)
-        self._last_result = result
         spec = result.best_chromosome.to_spec(self.dataset.variable_names)
         self.model = InferredModel.fit(spec, self.dataset)
         self.steady_state_error = result.best_fitness.mean_error
@@ -152,40 +149,8 @@ class ModelManager:
 
     # -- helpers --------------------------------------------------------------------
 
-    @property
-    def last_search_result(self) -> Optional[SearchResult]:
-        """The most recent GA result (train or update); seeds streaming state."""
-        return self._last_result
-
     def pending_profiles(self, application: str) -> int:
         return len(self._pending.get(application, []))
-
-    @property
-    def pending_applications(self) -> tuple:
-        """Applications with queued-but-unabsorbed profiles."""
-        return tuple(self._pending)
-
-    def needs_update(self, outcome: ObservationOutcome) -> bool:
-        """Would this observation trigger a re-specification?
-
-        The decision :meth:`observe` takes when ``auto_update=True``,
-        exposed separately so serving layers can run :meth:`observe` with
-        ``auto_update=False`` on the request path and defer the expensive
-        genetic update to a background worker.
-        """
-        return (
-            not outcome.accurate
-            and outcome.n_profiles >= self.min_update_profiles
-        )
-
-    def absorb(self, application: str) -> None:
-        """Move an application's pending profiles into the training set.
-
-        Public counterpart of the internal absorption step: callers that
-        deferred an update (``observe(..., auto_update=False)``) absorb the
-        queued evidence themselves immediately before :meth:`update`.
-        """
-        self._absorb(application)
 
     def _absorb(self, application: str) -> None:
         for record in self._pending.pop(application, []):

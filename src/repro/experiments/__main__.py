@@ -105,7 +105,7 @@ def _check_bootstrap(serving, backend: str) -> None:
     not come up quietly and answer traffic — the runner turns this into
     a ``FAILED check`` exit before the listener starts.
     """
-    error = serving.manager.steady_state_error
+    error = serving.respecifier.last_result.best_fitness.mean_error
     assert error <= 0.25, (
         f"bootstrap model unusable: steady-state median error {error:.1%} "
         "exceeds 25% on the demo dataset"
@@ -172,10 +172,10 @@ def serve_main(argv) -> int:
     parser.add_argument(
         "--stream",
         action="store_true",
-        help="attach the streaming re-specifier (enables the "
-        "observe_stream op: per-batch Gram refresh, drift-triggered "
-        "background re-specification; the batch observe op answers 409 "
-        "while attached)",
+        help="accepted for compatibility and ignored: every served model "
+        "is maintained by the streaming re-specifier (the observe_stream "
+        "op: per-batch Gram refresh, drift-triggered background "
+        "re-specification)",
     )
     parser.add_argument(
         "--stream-publish-every",
@@ -232,6 +232,7 @@ def serve_main(argv) -> int:
             max_latency_s=args.max_latency_ms / 1000.0,
         ),
         backend=args.backend,
+        publish_every=args.stream_publish_every,
     )
     try:
         _check_bootstrap(serving, args.backend)
@@ -239,15 +240,6 @@ def serve_main(argv) -> int:
         print(f"FAILED check: {failure}", file=sys.stderr)
         serving.close()
         return 1
-    if args.stream:
-        from repro.serve.bootstrap import attach_streaming
-
-        attach_streaming(serving, publish_every=args.stream_publish_every)
-        print(
-            "streaming re-specifier attached (observe_stream; "
-            f"publishing every {args.stream_publish_every} refreshes)",
-            flush=True,
-        )
 
     async def run() -> None:
         await server.start()
@@ -303,6 +295,7 @@ def _serve_sharded(args) -> int:
             max_latency_s=args.max_latency_ms / 1000.0,
         ),
         backend=args.backend,
+        publish_every=args.stream_publish_every,
     )
     try:
         _check_bootstrap(supervisor.serving, args.backend)

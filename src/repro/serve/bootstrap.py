@@ -1,4 +1,4 @@
-"""Assembly helpers: dataset → trained manager → registry → live server.
+"""Assembly helpers: dataset → bootstrapped respecifier → registry → live server.
 
 Used by the ``python -m repro.experiments serve`` CLI, the serving
 benchmarks, and the end-to-end tests, so all three bring the service up
@@ -14,11 +14,11 @@ import numpy as np
 
 from repro.core.dataset import ProfileDataset, ProfileRecord
 from repro.core.genetic import GeneticSearch
-from repro.core.updater import ModelManager
 from repro.serve.batching import BatchConfig, ModelSlot
 from repro.serve.manager import ServingManager
 from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.server import PredictionServer
+from repro.stream import DriftConfig, StreamingRespecifier
 
 #: Variable layout of the demo service (three software characteristics,
 #: two hardware parameters — the same shape the engine benchmark uses).
@@ -76,48 +76,49 @@ def build_service(
     host: str = "127.0.0.1",
     port: int = 0,
     generations: int = 3,
-    update_generations: int = 2,
     population_size: int = 10,
     seed: int = 0,
     batch_config: Optional[BatchConfig] = None,
-    min_update_profiles: int = 10,
     request_deadline_s: float = 30.0,
     backend: str = "cpu",
+    drift_config: DriftConfig = DriftConfig(),
+    publish_every: int = 1,
 ) -> Tuple[PredictionServer, ServingManager, ModelRegistry]:
-    """Train, publish, and assemble a ready-to-start server.
+    """Bootstrap, publish, and assemble a ready-to-start server.
 
     The caller still runs the asyncio lifecycle (``await server.start()``
     / ``serve_forever``); everything up to that — genetic bootstrap
-    (§3.2), registry publish, slot load, manager wiring — happens here.
-    ``backend`` names the timing backend the profiles came from; it must
-    be registered in :mod:`repro.uarch.backends` and flows into registry
-    metadata, stats payloads, and prometheus labels.
+    (§3.2) of the streaming respecifier that maintains the model from
+    then on, registry publish, slot load, manager wiring — happens here.
+    ``drift_config`` sets the re-specification trigger (the paper's
+    policy is ``DriftConfig(min_fill=10, trip_ratio=1.5, patience=1)``);
+    ``publish_every`` throttles refresh publishes (see
+    :class:`ServingManager`).  ``backend`` names the timing backend the
+    profiles came from; it must be registered in
+    :mod:`repro.uarch.backends` and flows into registry metadata, stats
+    payloads, and prometheus labels.
     """
     from repro.uarch.backends import get_backend
 
     get_backend(backend)  # reject unknown names before anything is built
-    search = GeneticSearch(population_size=population_size, seed=seed)
-    manager = ModelManager(
+    respecifier = StreamingRespecifier(
         dataset,
-        search=search,
-        generations=generations,
-        update_generations=update_generations,
-        min_update_profiles=min_update_profiles,
+        GeneticSearch(population_size=population_size, seed=seed),
+        drift_config=drift_config,
     )
-    manager.train()
+    respecifier.bootstrap(generations)
 
     registry = ModelRegistry(registry_root)
     slot = ModelSlot()
     serving = ServingManager(
-        manager, registry, ModelKey(space, application), slot, backend=backend
+        respecifier,
+        registry,
+        ModelKey(space, application),
+        slot,
+        backend=backend,
+        publish_every=publish_every,
     )
-    serving.publish_initial(
-        metadata={
-            "trigger": "bootstrap",
-            "steady_state_error": manager.steady_state_error,
-            "n_records": len(dataset),
-        }
-    )
+    serving.publish("bootstrap")
     server = PredictionServer(
         slot,
         host=host,
@@ -128,29 +129,3 @@ def build_service(
         backend=backend,
     )
     return server, serving, registry
-
-
-def attach_streaming(
-    serving: ServingManager, publish_every: int = 1, **respec_kwargs
-) -> object:
-    """Wire a :class:`repro.stream.StreamingRespecifier` into a built service.
-
-    Reuses the ModelManager's dataset, GA search (so re-specifications
-    warm-start from its retained population), and bootstrap search result
-    — no second GA run.  ``publish_every`` throttles per-refresh registry
-    publishes (see :meth:`ServingManager.attach_stream`); extra kwargs go
-    to the respecifier constructor (``drift_config``,
-    ``checkpoint_every``, ...).  Once attached, the batch ``observe`` op
-    is rejected in favor of ``observe_stream``.
-    """
-    from repro.stream import StreamingRespecifier
-
-    manager = serving.manager
-    if manager.last_search_result is None:
-        raise RuntimeError("train() the ModelManager before attaching a stream")
-    respec = StreamingRespecifier(
-        manager.dataset, manager.search, **respec_kwargs
-    )
-    respec.bootstrap_from(manager.last_search_result)
-    serving.attach_stream(respec, publish_every=publish_every)
-    return respec

@@ -17,8 +17,8 @@
 
 Retry caveat: a retried request is at-least-once delivery — a request
 that executed but whose reply was lost will execute again.  ``predict``
-ops are pure reads, so this is safe; for ``observe`` (which mutates
-update bookkeeping) pass ``retrying=NO_RETRY`` if duplicate delivery
+ops are pure reads, so this is safe; ``observe_stream`` (which ingests
+its batch) should pass ``retrying=NO_RETRY`` if duplicate delivery
 matters more than availability.
 
 Command-line smoke usage (used by CI against a detached server)::
@@ -227,17 +227,6 @@ class ServeClient:
     def predict_batch(self, rows) -> dict:
         rows = np.asarray(rows, dtype=float)
         return self.request({"op": "predict_batch", "rows": rows.tolist()})
-
-    def observe(
-        self,
-        application: str,
-        profiles: Sequence[dict],
-        retrying: Optional[RetryPolicy] = None,
-    ) -> dict:
-        return self.request(
-            {"op": "observe", "application": application, "profiles": list(profiles)},
-            retrying=retrying,
-        )
 
     def observe_stream(
         self,

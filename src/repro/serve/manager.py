@@ -1,24 +1,34 @@
-"""Live model updates: wiring §3.2–§3.3 into the serving loop.
+"""Live model maintenance: wiring §3.2–§3.3 into the serving loop.
 
 :class:`ServingManager` owns the feedback path of the service.  The
 prediction path never touches it — predictions read the
 :class:`~repro.serve.batching.ModelSlot` snapshot and nothing else — so a
 re-specification in flight can never block or fail a prediction.
 
-The flow mirrors the paper's inductive update policy:
+A served model has exactly one maintenance path, the
+:class:`repro.stream.StreamingRespecifier` it was bootstrapped with:
 
-1. ``observe`` frames deliver profiles of a (possibly new) application.
-   The accuracy check (``ModelManager.observe(auto_update=False)``) runs in
-   a worker thread; the asyncio loop stays free to serve predictions.
-2. Accurate applications are absorbed silently.  Inaccurate ones accrue
-   pending profiles until the hysteresis threshold (10–20 profiles, §3.3).
-3. Once the threshold trips, ONE background update runs: absorb the
-   evidence, re-run the genetic heuristic (which fans out across processes
-   via ``repro.parallel`` when ``REPRO_WORKERS`` is set), refit.
-4. The new model is published to the registry first (durable), then
-   swapped into the slot (visible).  The swap is a single atomic snapshot
-   rebind: every in-flight batch keeps the version it started with, every
-   later batch sees the new one — zero dropped requests, old-or-new only.
+1. ``observe_stream`` frames deliver profiles of a (possibly new)
+   application.  Ingestion — prequential scoring against the model of
+   the last specification, Gram accumulation, coefficient refresh — runs
+   in a worker thread; the asyncio loop stays free to serve predictions.
+2. The drift detector compares the windowed median error with the GA
+   error of the last specification.  The paper's update policy (re-specify
+   once 10 or more profiles err beyond 1.5x the steady-state error) is
+   the detector setting ``DriftConfig(min_fill=10, trip_ratio=1.5,
+   patience=1)``.
+3. Once the detector trips, ONE background re-specification runs: the GA
+   resumes warm-started from its retained population (fanning out across
+   processes via ``repro.parallel`` when ``REPRO_WORKERS`` is set) and the
+   winner is refit on all evidence.
+4. Every new model — bootstrap, refresh, re-specification — leaves through
+   :meth:`ServingManager.publish`: registry first (durable), then the slot
+   swap (visible).  Then, outside the learner's lock,
+   :meth:`ServingManager.fan_out` awaits the ``on_swap`` hook (the fleet
+   reload broadcast) before the frame is answered.  The swap
+   is a single atomic snapshot rebind: every in-flight batch keeps the
+   version it started with, every later batch sees the new one — zero
+   dropped requests, old-or-new only.
 
 **Failure policy**: an update that raises anywhere — re-specification,
 publish, swap — degrades gracefully to the last-good model.  The slot is
@@ -27,15 +37,9 @@ untouched by construction; the failure is recorded
 (``updates_failed`` / ``last_error`` in :meth:`ServingManager.stats_dict`,
 ``serve.updates_failed`` in obs) and swallowed rather than left to die as
 an unobserved task exception.  Serving never stops because learning
-stumbled.  The ``serve.update`` fault site injects such failures in
-``tests/test_serve_chaos.py``.
-
-When a :class:`repro.stream.StreamingRespecifier` is attached
-(:meth:`ServingManager.attach_stream`), continuous maintenance replaces
-the batch flow outright: ``observe_stream`` frames drive
-ingest/refresh/re-spec, and batch ``observe`` frames are rejected with a
-409 — the two paths each keep their own incumbent model, so letting both
-publish would silently revert each other's updates.
+stumbled.  The ``serve.update`` and ``stream.respec`` fault sites inject
+such failures in ``tests/test_serve_chaos.py`` and
+``tests/test_stream_chaos.py``.
 
 Swap safety and version monotonicity are asserted by
 ``tests/test_serve_manager.py``.
@@ -46,21 +50,21 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro import faults, obs
 from repro.core.dataset import ProfileDataset, ProfileRecord
-from repro.core.updater import ModelManager, ObservationOutcome
 from repro.serve.batching import ModelSlot
 from repro.serve.registry import ModelKey, ModelRegistry
+
+if TYPE_CHECKING:
+    from repro.stream import StreamingRespecifier
 
 
 @dataclasses.dataclass
 class UpdateStats:
-    observations: int = 0
-    absorbed: int = 0
     updates_started: int = 0
     updates_completed: int = 0
     updates_failed: int = 0
@@ -85,173 +89,121 @@ def _record_last_error(stats: UpdateStats, error: Optional[str]) -> None:
 
 
 class ServingManager:
-    """Bridges ``observe`` traffic to ``ModelManager`` and the model slot."""
+    """Bridges ``observe_stream`` traffic to the respecifier and the slot.
+
+    ``respecifier`` must be bootstrapped; its incumbent model is what
+    :meth:`publish` ships.  ``publish_every`` throttles how often
+    coefficient *refreshes* reach the registry: every registry publish is
+    a durable tmp/fsync/rename write plus a new version, so publishing
+    each refresh puts a disk fsync on the hot ingest path and grows the
+    registry without bound.  With ``publish_every=N`` only every Nth
+    refresh is published (re-specifications always publish immediately).
+    """
 
     def __init__(
         self,
-        manager: ModelManager,
+        respecifier: StreamingRespecifier,
         registry: ModelRegistry,
         key: ModelKey,
         slot: ModelSlot,
         backend: str = "cpu",
+        publish_every: int = 1,
     ):
-        self.manager = manager
+        if respecifier.model is None:
+            raise RuntimeError("bootstrap() the respecifier before serving it")
+        if publish_every < 1:
+            raise ValueError("publish_every must be >= 1")
+        self.respecifier = respecifier
         self.registry = registry
         self.key = key
         self.slot = slot
         #: Timing backend this model's profiles came from; stamped into
         #: every registry publish and reported by ``stats``.
         self.backend = backend
+        self.publish_every = publish_every
         self.stats = UpdateStats()
         # Export the health gauge from boot, not first failure: a scrape
         # that has never seen serve.update_last_error cannot alert on it.
         _record_last_error(self.stats, None)
-        # One worker: updates and accuracy checks both mutate the
-        # ModelManager, so they serialize on this executor; the _lock
-        # additionally keeps the observe/decide step atomic per request.
+        # One worker: ingests and re-specifications both mutate the
+        # respecifier, so they serialize on this executor; the _lock
+        # additionally keeps each ingest/decide/publish step atomic.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-update"
         )
         self._lock = asyncio.Lock()
         self._update_task: Optional[asyncio.Task] = None
-        #: Optional :class:`repro.stream.StreamingRespecifier` powering the
-        #: ``observe_stream`` path (see :meth:`attach_stream`).  While
-        #: attached, the batch ``observe`` path is rejected (409): both
-        #: maintenance paths publish to the same slot and would silently
-        #: revert each other's models otherwise.
-        self.stream = None
-        self._stream_publish_every = 1
         self._refreshes_since_publish = 0
-        #: Optional async hook ``on_swap(version)`` awaited after each
-        #: successful publish-then-swap.  The shard supervisor registers
-        #: its fleet-wide reload broadcast here; failures are counted
+        #: Optional async hook ``on_swap(version)`` awaited by
+        #: :meth:`fan_out` after each successful publish-then-swap.  The
+        #: shard supervisor registers its fleet-wide reload broadcast
+        #: here; failures are counted
         #: (``serve.swap_hook_failures``), never allowed to fail the
         #: update itself — the local slot already swapped.
         self.on_swap = None
 
-    # -- bootstrap -----------------------------------------------------------------
+    # -- publishing ----------------------------------------------------------------
 
-    def publish_initial(self, metadata: Optional[Dict[str, object]] = None) -> int:
-        """Publish the manager's trained model and load it into the slot."""
-        if self.manager.model is None:
-            raise RuntimeError("train() the ModelManager before serving it")
+    def publish(self, trigger: str) -> int:
+        """Publish the respecifier's model: durable, then visible.
+
+        Returns the new version; the caller then awaits
+        :meth:`fan_out` with it.  Past bootstrap, callers hold
+        ``self._lock``: publishing reads the respecifier's model and
+        detector, which ``ingest`` mutates on the executor thread while
+        :meth:`handle_observe_stream` holds the lock.
+        """
+        self._refreshes_since_publish = 0
+        model = self.respecifier.model
         receipt = self.registry.publish(
             self.key,
-            self.manager.model,
-            metadata={"backend": self.backend, **(metadata or {})},
+            model,
+            metadata={
+                "trigger": trigger,
+                "backend": self.backend,
+                "n_records": len(self.respecifier.dataset),
+                "baseline_error": self.respecifier.detector.baseline,
+                "drift_score": self.respecifier.detector.score(),
+            },
         )
-        self.slot.swap(receipt.version, self.manager.model)
+        # Durable first, visible second: a crash between the two leaves a
+        # valid registry entry and a stale-but-correct live model.
+        self.slot.swap(receipt.version, model)
         self.stats.last_published_version = receipt.version
         obs.gauge("serve.model_version").set(receipt.version)
         return receipt.version
 
+    async def fan_out(self, version: int) -> None:
+        """Await the ``on_swap`` hook for a published ``version``.
+
+        Called after ``self._lock`` is released: a fleet reload waits on
+        every shard, and a wedged shard must not stall other ingests.
+        Shards gate reloads on the version, so fan-outs that overtake
+        each other never roll one back.
+        """
+        if self.on_swap is None:
+            return
+        try:
+            await self.on_swap(version)
+        except Exception:
+            # Published and swapped locally; a failed fan-out is the
+            # fleet layer's problem — it reconciles on respawn/reload.
+            obs.counter("serve.swap_hook_failures").inc()
+
     # -- observe path --------------------------------------------------------------
-
-    async def handle_observe(self, request: dict) -> dict:
-        """Serve one ``observe`` frame; may schedule a background update.
-
-        Rejected (409) while a streaming respecifier is attached: the
-        batch updater and the respecifier each keep their own incumbent
-        and publish to the same slot, so running both would let either
-        maintenance path silently revert the other's published model.
-        """
-        if self.stream is not None:
-            obs.counter("serve.observe_rejected_streaming").inc()
-            return {
-                "ok": False,
-                "status": 409,
-                "error": (
-                    "batch 'observe' is disabled while a streaming "
-                    "respecifier is attached (the two maintenance paths "
-                    "would fight over the model slot); use 'observe_stream'"
-                ),
-            }
-        application = request["application"]
-        profiles = [
-            ProfileRecord(
-                application,
-                np.asarray(p["x"], dtype=float),
-                np.asarray(p["y"], dtype=float),
-                float(p["z"]),
-            )
-            for p in request["profiles"]
-        ]
-        if not profiles:
-            raise ValueError("observe needs at least one profile")
-
-        loop = asyncio.get_running_loop()
-        async with self._lock:
-            outcome: ObservationOutcome = await loop.run_in_executor(
-                self._executor,
-                lambda: self.manager.observe(profiles, auto_update=False),
-            )
-            self.stats.observations += 1
-            obs.counter("serve.observations").inc()
-            if outcome.accurate:
-                self.stats.absorbed += 1
-                obs.counter("serve.observations_absorbed").inc()
-            update_scheduled = False
-            if self.manager.needs_update(outcome) and not self.update_in_progress:
-                self.manager.absorb(application)
-                self._update_task = loop.create_task(self._run_update())
-                self.stats.updates_started += 1
-                update_scheduled = True
-
-        return {
-            "ok": True,
-            "application": outcome.application,
-            "median_error": outcome.median_error,
-            "steady_state_error": outcome.steady_state_error,
-            "accurate": outcome.accurate,
-            "n_profiles": outcome.n_profiles,
-            "update_scheduled": update_scheduled,
-            "model_version": self.slot.version,
-        }
-
-    # -- streaming observe path ----------------------------------------------------
-
-    def attach_stream(self, respecifier, publish_every: int = 1) -> None:
-        """Enable continuous maintenance via a bootstrapped respecifier.
-
-        The respecifier's incumbent model should be the one served (or an
-        ancestor of it): refreshed/re-specified models are published and
-        swapped into the slot exactly like batch updates.  While attached,
-        the batch ``observe`` op is rejected — see :meth:`handle_observe`.
-
-        ``publish_every`` throttles how often coefficient *refreshes*
-        reach the registry: every registry publish is a durable
-        tmp/fsync/rename write plus a new version, so publishing each
-        refresh puts a disk fsync on the hot ingest path and grows the
-        registry without bound.  With ``publish_every=N`` only every Nth
-        refresh is published (re-specifications always publish
-        immediately); deployments ingesting at rate should set N > 1 here
-        or ``refresh_every`` > 1 on the respecifier.
-        """
-        if respecifier.model is None:
-            raise RuntimeError("bootstrap() the respecifier before attaching")
-        if publish_every < 1:
-            raise ValueError("publish_every must be >= 1")
-        self.stream = respecifier
-        self._stream_publish_every = publish_every
-        self._refreshes_since_publish = 0
 
     async def handle_observe_stream(self, request: dict) -> dict:
         """Serve one ``observe_stream`` frame: ingest, maybe refresh/respec.
 
-        Same frame shape as ``observe``.  Coefficient refreshes happen
-        inline (they are p×p solves); a tripped drift detector instead
-        schedules ONE background re-specification, predictions staying on
-        the incumbent snapshot for its whole duration.
+        Coefficient refreshes happen inline (they are p×p solves); a
+        tripped drift detector instead schedules ONE background
+        re-specification, predictions staying on the incumbent snapshot
+        for its whole duration.
         """
-        if self.stream is None:
-            return {
-                "ok": False,
-                "status": 501,
-                "error": "no streaming respecifier attached (see attach_stream)",
-            }
+        respecifier = self.respecifier
         application = request["application"]
         batch = ProfileDataset(
-            self.stream.dataset.x_names, self.stream.dataset.y_names
+            respecifier.dataset.x_names, respecifier.dataset.y_names
         )
         for p in request["profiles"]:
             batch.add(
@@ -267,6 +219,7 @@ class ServingManager:
 
         loop = asyncio.get_running_loop()
         respec_scheduled = False
+        published: Optional[int] = None
         async with self._lock:
             try:
                 # Respec is deferred to a background task; ingestion itself
@@ -274,10 +227,10 @@ class ServingManager:
                 # and runs off-loop on the update executor.
                 outcome = await loop.run_in_executor(
                     self._executor,
-                    lambda: self.stream.ingest(batch, allow_respec=False),
+                    lambda: respecifier.ingest(batch, allow_respec=False),
                 )
             except Exception as exc:
-                # Same degradation contract as _run_update: the slot keeps
+                # Same degradation contract as _run_respec: the slot keeps
                 # the last-good snapshot, the failure is recorded, serving
                 # continues.  stream.ingest fault injections land here.
                 self.stats.stream_failed += 1
@@ -289,17 +242,19 @@ class ServingManager:
             if outcome.refreshed:
                 self.stats.stream_refreshes += 1
                 self._refreshes_since_publish += 1
-                if self._refreshes_since_publish >= self._stream_publish_every:
-                    self._publish_stream_model("stream-refresh")
+                if self._refreshes_since_publish >= self.publish_every:
+                    published = self.publish("stream-refresh")
                 else:
-                    # Throttled (attach_stream publish_every): the refresh
-                    # updated the in-memory incumbent; the durable publish
-                    # rides along with a later refresh or re-spec.
+                    # Throttled (publish_every): the refresh updated the
+                    # in-memory incumbent; the durable publish rides along
+                    # with a later refresh or re-spec.
                     obs.counter("serve.stream_publish_deferred").inc()
             if outcome.needs_respec and not self.update_in_progress:
-                self._update_task = loop.create_task(self._run_stream_respec())
+                self._update_task = loop.create_task(self._run_respec())
                 self.stats.updates_started += 1
                 respec_scheduled = True
+        if published is not None:
+            await self.fan_out(published)
 
         return {
             "ok": True,
@@ -312,63 +267,7 @@ class ServingManager:
             "model_version": self.slot.version,
         }
 
-    def _publish_stream_model(self, trigger: str) -> int:
-        """Durable-then-visible publish of the stream's incumbent model.
-
-        Must run under ``self._lock``: it reads the respecifier's model
-        and detector, which ``stream.ingest`` mutates on the executor
-        thread during ``handle_observe_stream`` (which holds the lock
-        across that executor hop).
-        """
-        self._refreshes_since_publish = 0
-        receipt = self.registry.publish(
-            self.key,
-            self.stream.model,
-            metadata={
-                "trigger": trigger,
-                "backend": self.backend,
-                "n_records": len(self.stream.dataset),
-                "drift_score": self.stream.detector.score(),
-            },
-        )
-        self.slot.swap(receipt.version, self.stream.model)
-        self.stats.last_published_version = receipt.version
-        obs.gauge("serve.model_version").set(receipt.version)
-        return receipt.version
-
-    async def _run_stream_respec(self) -> None:
-        """Background drift-triggered re-specification (GA warm-start).
-
-        The GA itself runs lock-free (the single-worker executor already
-        serializes it against ingests), but the publish step takes
-        ``self._lock``, mirroring :meth:`handle_observe_stream`'s refresh
-        publishes: publishing reads the respecifier's model and detector
-        window, which a concurrent ``observe_stream`` frame mutates on
-        the executor thread while holding the lock — an unlocked publish
-        can crash on the detector's deque mutating mid-``score()`` and
-        record the successful respec as failed.
-        """
-        loop = asyncio.get_running_loop()
-        try:
-            with obs.span("serve.stream_respec"):
-                await loop.run_in_executor(self._executor, self.stream.respec)
-            async with self._lock:
-                version = self._publish_stream_model("stream-respec")
-                self.stats.stream_respecs += 1
-                self.stats.updates_completed += 1
-                _record_last_error(self.stats, None)
-            obs.counter("serve.stream_respecs").inc()
-            if self.on_swap is not None:
-                try:
-                    await self.on_swap(version)
-                except Exception:
-                    obs.counter("serve.swap_hook_failures").inc()
-        except Exception as exc:
-            self.stats.updates_failed += 1
-            _record_last_error(self.stats, f"{type(exc).__name__}: {exc}")
-            obs.counter("serve.updates_failed").inc()
-
-    # -- the background update -----------------------------------------------------
+    # -- the background re-specification -------------------------------------------
 
     @property
     def update_in_progress(self) -> bool:
@@ -379,43 +278,30 @@ class ServingManager:
         if self._update_task is not None:
             await asyncio.shield(self._update_task)
 
-    async def _run_update(self) -> None:
+    async def _run_respec(self) -> None:
+        """Background drift-triggered re-specification (GA warm-start).
+
+        The GA — minutes of CPU at paper scale — runs off-loop and
+        lock-free (the single-worker executor already serializes it
+        against ingests), but the publish step takes ``self._lock`` like
+        every other post-bootstrap publish: an unlocked publish can crash
+        on the detector's deque mutating mid-``score()`` and record the
+        successful respec as failed.
+        """
         loop = asyncio.get_running_loop()
         try:
             faults.site("serve.update")
-            # The genetic re-specification (§3.3) — minutes of CPU at paper
-            # scale — runs off-loop; predictions continue on the old
-            # snapshot for its whole duration.
-            with obs.span("serve.update"):
-                model = await loop.run_in_executor(
-                    self._executor, self.manager.update
+            with obs.span("serve.stream_respec"):
+                await loop.run_in_executor(
+                    self._executor, self.respecifier.respec
                 )
-            receipt = self.registry.publish(
-                self.key,
-                model,
-                metadata={
-                    "trigger": "online-update",
-                    "backend": self.backend,
-                    "steady_state_error": self.manager.steady_state_error,
-                    "n_records": len(self.manager.dataset),
-                },
-            )
-            # Durable first, visible second: a crash between the two leaves
-            # a valid registry entry and a stale-but-correct live model.
-            self.slot.swap(receipt.version, model)
-            self.stats.last_published_version = receipt.version
-            self.stats.updates_completed += 1
-            _record_last_error(self.stats, None)
-            obs.counter("serve.updates_completed").inc()
-            obs.gauge("serve.model_version").set(receipt.version)
-            if self.on_swap is not None:
-                try:
-                    await self.on_swap(receipt.version)
-                except Exception:
-                    # The update itself succeeded (published + swapped
-                    # locally); a failed fan-out is the fleet layer's
-                    # problem — it reconciles on respawn/next reload.
-                    obs.counter("serve.swap_hook_failures").inc()
+            async with self._lock:
+                version = self.publish("stream-respec")
+                self.stats.stream_respecs += 1
+                self.stats.updates_completed += 1
+                _record_last_error(self.stats, None)
+            obs.counter("serve.stream_respecs").inc()
+            await self.fan_out(version)
         except Exception as exc:
             # Graceful degradation: the slot still holds the last-good
             # (version, model) snapshot — publish-then-swap means a failed
@@ -428,30 +314,22 @@ class ServingManager:
     # -- reporting -----------------------------------------------------------------
 
     def stats_dict(self) -> Dict[str, object]:
-        stats = {
+        return {
             "backend": self.backend,
-            "observations": self.stats.observations,
-            "absorbed": self.stats.absorbed,
             "updates_started": self.stats.updates_started,
             "updates_completed": self.stats.updates_completed,
             "updates_failed": self.stats.updates_failed,
             "update_in_progress": self.update_in_progress,
             "last_published_version": self.stats.last_published_version,
             "last_error": self.stats.last_error,
-            "pending": {
-                app: self.manager.pending_profiles(app)
-                for app in self.manager.pending_applications
-            },
-        }
-        if self.stream is not None:
-            stats["stream"] = {
+            "stream": {
                 "batches": self.stats.stream_batches,
                 "refreshes": self.stats.stream_refreshes,
                 "respecs": self.stats.stream_respecs,
                 "failed": self.stats.stream_failed,
-                **self.stream.stats_dict(),
-            }
-        return stats
+                **self.respecifier.stats_dict(),
+            },
+        }
 
     def close(self) -> None:
         self._executor.shutdown(wait=False)

@@ -14,15 +14,12 @@ Operations (``{"op": ...}`` request, ``{"ok": true/false, ...}`` reply):
                     and the ``model_version`` that served it.
 ``predict_batch``   a caller-assembled batch of rows, predicted against a
                     single model snapshot (bypasses the batcher).
-``observe``         profiles of a (possibly new) application — forwarded to
-                    the online update manager when one is attached.
-                    Rejected (409) while a streaming respecifier is
-                    attached: the two maintenance paths would fight over
-                    the model slot; use ``observe_stream`` instead.
-``observe_stream``  a continuous-maintenance observation batch — forwarded
-                    to the manager's streaming respecifier (prequential
-                    drift scoring + Gram accumulation + coefficient
-                    refresh; drift trips schedule a background re-spec).
+``observe_stream``  profiles of a (possibly new) application — the one
+                    maintenance op, registered when the server has an
+                    update manager: its streaming respecifier scores the
+                    batch prequentially for drift, accumulates it and
+                    refreshes coefficients; a drift trip schedules a
+                    background re-specification (§3.2–3.3).
 ``stats``           request counters, batch-occupancy histogram, model
                     version, update counters.
 ``metrics``         the process-wide ``repro.obs`` registry: a snapshot
@@ -77,7 +74,7 @@ from repro.serve.batching import (
 )
 
 #: Frame-size sanity bound; a registry payload is ~10 KiB, so 16 MiB leaves
-#: ample room for large observe/predict_batch bodies while bounding memory.
+#: ample room for large observe_stream/predict_batch bodies while bounding memory.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
@@ -155,7 +152,10 @@ class PredictionServer:
         #: Which timing backend produced the profiles this model serves;
         #: tags ``info``/``stats`` payloads and prometheus series.
         self.backend = backend
-        self.manager = manager  # Optional[ServingManager], wired by serve.manager
+        #: Optional :class:`~repro.serve.manager.ServingManager` (or the
+        #: shard workers' forwarding proxy): anything with
+        #: ``handle_observe_stream`` and ``stats_dict``.
+        self.manager = manager
         self.batcher = MicroBatcher(slot, batch_config)
         self.request_deadline_s = request_deadline_s
         self.stats = ServerStats()
@@ -185,10 +185,10 @@ class PredictionServer:
             "metrics": self._op_metrics,
             "predict": self._op_predict,
             "predict_batch": self._op_predict_batch,
-            "observe": self._op_observe,
-            "observe_stream": self._op_observe_stream,
             "shutdown": self._op_shutdown,
         }
+        if manager is not None:
+            self._ops["observe_stream"] = manager.handle_observe_stream
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -407,27 +407,6 @@ class PredictionServer:
     def _op_shutdown(self, request: dict) -> dict:
         self.stop()
         return {"ok": True, "op": "shutdown"}
-
-    async def _op_observe(self, request: dict) -> dict:
-        if self.manager is None:
-            return {
-                "ok": False,
-                "status": 501,
-                "error": "server runs without an online update manager",
-            }
-        return await self.manager.handle_observe(request)
-
-    async def _op_observe_stream(self, request: dict) -> dict:
-        # Duck-typed so the shard workers' observe proxy (which forwards
-        # frames to the supervisor) plugs in without subclassing.
-        handler = getattr(self.manager, "handle_observe_stream", None)
-        if handler is None:
-            return {
-                "ok": False,
-                "status": 501,
-                "error": "server runs without a streaming respecifier",
-            }
-        return await handler(request)
 
     def _op_metrics(self, request: dict) -> dict:
         if request.get("format") == "prometheus":

@@ -23,11 +23,12 @@ newer (the slot enforces monotonicity), so during a rollout clients
 observe at most two versions — ``{v, v+1}`` — and never an older one
 resurfacing.  ``tests/test_serve_shard.py`` property-tests this.
 
-**The feedback path stays centralized**: shards proxy ``observe`` frames
-to the supervisor's control server (:class:`_ObserveProxy`), where the
-single :class:`~repro.serve.manager.ServingManager` accrues evidence,
-re-specifies, publishes, and — via its ``on_swap`` hook — fans the new
-version out to every shard.  One learner, N predictors.
+**The feedback path stays centralized**: shards proxy ``observe_stream``
+frames to the supervisor's control server (:class:`_ObserveProxy`), where
+the single :class:`~repro.serve.manager.ServingManager` ingests evidence,
+refreshes or re-specifies, publishes, and — via its ``on_swap`` hook —
+fans every new version out to every shard.  A shard's ``stats`` reply
+carries that learner's update counters.  One learner, N predictors.
 
 **Shards are cattle**: a monitor thread waits on process sentinels and
 respawns any worker that dies (crash, injected ``shard.request=kill``,
@@ -123,9 +124,10 @@ class _ObserveProxy:
     """Stands in for the ServingManager inside a shard worker.
 
     Prediction never leaves the shard; *learning* must — the single
-    ServingManager lives in the supervisor.  This proxy forwards each
-    ``observe`` frame verbatim to the supervisor's control port and
-    relays the reply, so clients can send observations to any shard.
+    ServingManager (and its one StreamingRespecifier) lives in the
+    supervisor.  This proxy forwards each ``observe_stream`` frame
+    verbatim to the supervisor's control port and relays the reply, so
+    clients can send observations to any shard.
     """
 
     def __init__(self, host: str, port: int):
@@ -134,19 +136,9 @@ class _ObserveProxy:
         self.forwarded = 0
         self.failed = 0
 
-    async def handle_observe(self, request: dict) -> dict:
-        return await self._forward(request)
-
     async def handle_observe_stream(self, request: dict) -> dict:
-        # Streaming maintenance is control-plane work just like batch
-        # observes: the supervisor owns the one StreamingRespecifier.
-        return await self._forward(request)
-
-    async def _forward(self, request: dict) -> dict:
-        client = AsyncServeClient(self.host, self.port)
         try:
-            await client.connect()
-            reply = await client.request(request, check=False)
+            reply = await self._call(request)
         except (OSError, EOFError, asyncio.IncompleteReadError) as exc:
             self.failed += 1
             obs.counter("shard.observe_forward_failures").inc()
@@ -155,11 +147,25 @@ class _ObserveProxy:
                 "status": 503,
                 "error": f"control plane unreachable: {exc}",
             }
-        finally:
-            await client.close()
         self.forwarded += 1
         obs.counter("shard.observe_forwarded").inc()
         return reply
+
+    async def learner_stats(self) -> Dict[str, object]:
+        """The control plane's update stats (empty if unreachable)."""
+        try:
+            reply = await self._call({"op": "stats"})
+        except (OSError, EOFError, asyncio.IncompleteReadError):
+            return {}
+        return reply.get("updates", {})
+
+    async def _call(self, request: dict) -> dict:
+        client = AsyncServeClient(self.host, self.port)
+        try:
+            await client.connect()
+            return await client.request(request, check=False)
+        finally:
+            await client.close()
 
     def stats_dict(self) -> Dict[str, object]:
         return {
@@ -281,10 +287,17 @@ class ShardServer(PredictionServer):
             "reloaded": True,
         }
 
-    def _op_stats(self) -> dict:
+    async def _op_stats(self) -> dict:
         payload = super()._op_stats()
         payload["shard"] = self.shard_id
         payload["private_port"] = self.private_port
+        if isinstance(self.manager, _ObserveProxy):
+            # One learner: every shard reports its update counters next
+            # to this shard's forwarding counters.
+            payload["updates"] = {
+                **await self.manager.learner_stats(),
+                **payload["updates"],
+            }
         return payload
 
     def _op_metrics(self, request: dict) -> dict:
@@ -529,10 +542,10 @@ class ShardSupervisor:
     """Owns the fleet: spawn, route, swap, monitor, respawn, drain.
 
     The supervisor process hosts the single :class:`ServingManager` (the
-    learner) on a loopback *control server*; shards proxy ``observe``
-    frames to it, and its ``on_swap`` hook broadcasts every successful
-    re-specification to the fleet.  :meth:`publish_model` is the manual
-    equivalent for operators/tests.
+    learner) on a loopback *control server*; shards proxy
+    ``observe_stream`` frames to it, and its ``on_swap`` hook broadcasts
+    every publish (refresh or re-specification) to the fleet;
+    :meth:`reload_all` is the manual equivalent for operators/tests.
 
     ``reuse_port=None`` auto-detects: kernel balancing where the
     platform supports it, the :class:`ShardRouter` fallback elsewhere.
@@ -822,21 +835,6 @@ class ShardSupervisor:
         )
         return future.result(timeout)
 
-    def publish_model(self, model, metadata=None, timeout: float = 30.0) -> int:
-        """Publish ``model`` and roll it out fleet-wide; returns its version.
-
-        The same durable-first order the online update uses: registry
-        publish, supervisor slot swap, then the reload broadcast — at
-        every instant each shard serves either the old or the new
-        version, never anything else.
-        """
-        receipt = self.registry.publish(self.key, model, metadata=metadata)
-        self.serving.slot.swap(receipt.version, model)
-        self.serving.stats.last_published_version = receipt.version
-        obs.gauge("serve.model_version").set(receipt.version)
-        self.reload_all(receipt.version, timeout=timeout)
-        return receipt.version
-
     # -- fleet introspection -----------------------------------------------------------
 
     def _shard_request(self, handle: _WorkerHandle, payload: dict) -> dict:
@@ -930,16 +928,15 @@ def build_sharded_service(
     port: int = 0,
     reuse_port: Optional[bool] = None,
     generations: int = 3,
-    update_generations: int = 2,
     population_size: int = 10,
     seed: int = 0,
     batch_config: Optional[BatchConfig] = None,
-    min_update_profiles: int = 10,
     request_deadline_s: float = 30.0,
     max_respawns: int = 16,
     backend: str = "cpu",
+    publish_every: int = 1,
 ) -> ShardSupervisor:
-    """Train, publish, and assemble an (unstarted) shard supervisor.
+    """Bootstrap, publish, and assemble an (unstarted) shard supervisor.
 
     The sharded twin of :func:`~repro.serve.bootstrap.build_service` —
     and built *through* it, so the learner bootstrap is byte-identical
@@ -954,13 +951,12 @@ def build_sharded_service(
         host="127.0.0.1",
         port=0,
         generations=generations,
-        update_generations=update_generations,
         population_size=population_size,
         seed=seed,
         batch_config=batch_config,
-        min_update_profiles=min_update_profiles,
         request_deadline_s=request_deadline_s,
         backend=backend,
+        publish_every=publish_every,
     )
     return ShardSupervisor(
         serving,

@@ -35,9 +35,17 @@ class DriftConfig:
     """Tuning knobs for :class:`DriftDetector`.
 
     ``trip_ratio`` is in units of the baseline error: 1.5 means "trip when
-    the windowed median error reaches 1.5x the error measured at the last
-    re-specification" — the same tolerance the batch
-    :class:`repro.core.updater.ModelManager` uses for its update trigger.
+    the windowed median error exceeds 1.5x the error measured at the last
+    re-specification".
+
+    The paper's §3.2–3.3 update trigger — re-specify once a new
+    application's median error exceeds 1.5x the steady-state error and 10
+    or more of its profiles have accrued — is
+    ``DriftConfig(min_fill=10, trip_ratio=1.5, patience=1)``.  The
+    detector's baseline is the GA's ``best_fitness.mean_error``, the value
+    :class:`repro.core.updater.ModelManager` calls ``steady_state_error``,
+    so on a first batch of 10 to ``window`` profiles the detector's score
+    is exactly that manager's ``median_error / steady_state_error``.
     """
 
     window: int = 64          # sliding window length, in records

@@ -145,14 +145,6 @@ class StreamingRespecifier:
         self._adopt(result)
         return self.model
 
-    def bootstrap_from(self, result: SearchResult) -> InferredModel:
-        """Adopt an already-completed GA result (e.g. a trained
-        :class:`repro.core.updater.ModelManager`'s) instead of re-searching.
-        The result's population must live in :attr:`search` for respec
-        warm-starts to work — pass the same search instance that ran it."""
-        self._adopt(result)
-        return self.model
-
     def _adopt(self, result: SearchResult) -> None:
         """Rebuild all per-specification state around a GA result.
 

@@ -297,7 +297,11 @@ class TestServeBootstrapCheck:
         from types import SimpleNamespace
 
         serving = SimpleNamespace(
-            manager=SimpleNamespace(steady_state_error=error),
+            respecifier=SimpleNamespace(
+                last_result=SimpleNamespace(
+                    best_fitness=SimpleNamespace(mean_error=error)
+                )
+            ),
             slot=SimpleNamespace(version=1),
             stats_dict=lambda: {"backend": backend},
             close=lambda: None,

@@ -271,20 +271,19 @@ class TestServingPath:
     def test_observe_stream_respec_retunes_into_stats_and_prometheus(
         self, tmp_path
     ):
-        from repro.serve.bootstrap import build_service
+        from repro.serve import ModelKey, ModelRegistry, ModelSlot, ServingManager
 
         source = _source()
         respec = _spmv_respecifier(source)
-        server, serving, _ = build_service(
-            respec.dataset,
-            tmp_path / "registry",
-            generations=1,
-            update_generations=1,
-            population_size=6,
+        # Serve the SpMV respecifier itself, so observe_stream frames drive
+        # the same model the retuner consumes.
+        serving = ServingManager(
+            respec,
+            ModelRegistry(tmp_path / "registry"),
+            ModelKey("spmv", source.application),
+            ModelSlot(),
         )
-        # Rewire the service's streaming path onto the SpMV respecifier so
-        # observe_stream frames drive the same model the retuner consumes.
-        serving.attach_stream(respec)
+        serving.publish("bootstrap")
         retuner = _retuner(source).attach(respec)
         retuner.bootstrap()
         respec.set_baseline(1e-6)  # any real error trips the detector

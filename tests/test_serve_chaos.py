@@ -36,6 +36,7 @@ from repro.serve import (
 )
 from repro.serve.bootstrap import build_service, demo_dataset, outlier_profiles
 from repro.serve.registry import QUARANTINE_DIR
+from repro.stream import DriftConfig
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -196,9 +197,8 @@ class TestUpdateDegradation:
             ds,
             tmp_path / "registry",
             generations=1,
-            update_generations=1,
             population_size=6,
-            min_update_profiles=8,
+            drift_config=DriftConfig(min_fill=8, trip_ratio=1.5, patience=1),
         )
 
         def frame(n, seed):
@@ -214,8 +214,8 @@ class TestUpdateDegradation:
             v_before = serving.slot.version
             plan = FaultPlan.parse("serve.update=raise@1", seed=CHAOS_SEED)
             with faults.armed(plan):
-                reply = await serving.handle_observe(frame(10, seed=99))
-                assert reply["update_scheduled"]
+                reply = await serving.handle_observe_stream(frame(10, seed=99))
+                assert reply["respec_scheduled"]
                 await serving.wait_for_update()
             assert plan.injected_counts() == [1]
 
@@ -227,11 +227,13 @@ class TestUpdateDegradation:
             assert registry.latest_version(serving.key) == v_before
             assert serving.stats_dict()["last_error"] == serving.stats.last_error
 
-            # The next update (fault plan exhausted) completes and swaps.
-            reply = await serving.handle_observe(frame(10, seed=100))
-            assert reply["update_scheduled"]
+            # The drift latch is still set, so the next batch re-schedules
+            # the update; fault plan exhausted, it completes and swaps.
+            reply = await serving.handle_observe_stream(frame(10, seed=100))
+            assert reply["respec_scheduled"]
             await serving.wait_for_update()
             assert serving.stats.updates_completed == 1
+            assert serving.stats.stream_respecs == 1
             assert serving.stats.last_error is None
             assert serving.slot.version == v_before + 1
             return v_before

@@ -1,23 +1,37 @@
-"""Live-update swap safety.
+"""Live-update swap safety and the served model's update trigger.
 
 Requests issued during a model update must never observe a half-published
 model: every response is produced by exactly the (version, model) pair it
 reports — old or new, nothing in between — and published versions increase
-monotonically with zero failed requests across the swap.
+monotonically with zero failed requests across the swap.  The streaming
+respecifier's drift gate, set to the paper's trigger, decides updates
+exactly as the §3.2–3.3 batch policy does.
 """
 
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.core import InferredModel, ModelSpec, TransformKind
+from repro.core.dataset import ProfileDataset
+from repro.core.genetic import GeneticSearch
+from repro.core.updater import ModelManager
 from repro.serve import (
     BatchConfig,
     MicroBatcher,
     ModelKey,
     ModelSlot,
 )
-from repro.serve.bootstrap import build_service, demo_dataset, outlier_profiles
+from repro.serve.bootstrap import (
+    DEMO_X_NAMES,
+    DEMO_Y_NAMES,
+    _app_records,
+    build_service,
+    demo_dataset,
+    outlier_profiles,
+)
+from repro.stream import DriftConfig, StreamingRespecifier
 
 N_VARS = 5
 
@@ -105,29 +119,40 @@ class TestSlotSwapDuringTraffic:
         assert all(a <= b for a, b in zip(ordered, ordered[1:]))
 
 
+#: The paper's §3.2–3.3 update trigger as a drift-gate setting.
+PAPER_TRIGGER = DriftConfig(min_fill=10, trip_ratio=1.5, patience=1)
+
+
+def _frame(records):
+    return {
+        "application": records[0].application,
+        "profiles": [
+            {"x": p.x.tolist(), "y": p.y.tolist(), "z": p.z} for p in records
+        ],
+    }
+
+
 class TestServingManagerUpdate:
     def test_observe_triggers_background_update_and_publish(self, tmp_path):
         server, serving, registry = build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
-            update_generations=1,
             population_size=6,
-            min_update_profiles=8,
+            drift_config=PAPER_TRIGGER,
         )
-        profiles = [
-            {"x": p.x.tolist(), "y": p.y.tolist(), "z": p.z}
-            for p in outlier_profiles("newapp", n=10)
-        ]
         key = ModelKey("demo", "suite")
 
         async def scenario():
             v_before = serving.slot.version
-            reply = await serving.handle_observe(
-                {"application": "newapp", "profiles": profiles}
+            reply = await serving.handle_observe_stream(
+                _frame(outlier_profiles("newapp", n=10))
             )
-            assert reply["ok"] and not reply["accurate"]
-            assert reply["update_scheduled"]
+            assert reply["ok"] and reply["drift_tripped"]
+            assert reply["respec_scheduled"]
+            # A tripped batch is not refreshed: the re-specification is
+            # the only publish it causes.
+            assert reply["action"] == "none"
             await serving.wait_for_update()
             return v_before
 
@@ -136,8 +161,10 @@ class TestServingManagerUpdate:
 
         assert serving.slot.version == v_before + 1
         assert registry.versions(key) == [v_before, v_before + 1]
+        assert serving.stats.updates_started == 1
         assert serving.stats.updates_completed == 1
         assert serving.stats.updates_failed == 0
+        assert serving.respecifier.respecs == 1
         # Registry's latest is exactly the live model.
         published, version = registry.load(key)
         assert version == serving.slot.version
@@ -146,29 +173,129 @@ class TestServingManagerUpdate:
             published.predict_rows(probe) == serving.slot.get()[1].predict_rows(probe)
         ).all()
         meta = registry.entry_metadata(key, version)
-        assert meta["trigger"] == "online-update"
+        assert meta["trigger"] == "stream-respec"
 
     def test_accurate_application_absorbed_without_update(self, tmp_path):
         server, serving, registry = build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
-            update_generations=1,
             population_size=6,
+            drift_config=PAPER_TRIGGER,
         )
-        # Profiles drawn from an application the model already covers.
-        ds = demo_dataset(n_apps=1, n_per_app=5, seed=0)
-        profiles = [
-            {"x": r.x.tolist(), "y": r.y.tolist(), "z": r.z} for r in ds.records
-        ]
+        # Profiles drawn from an application the model already covers,
+        # enough of them for the detector to reach a verdict.
+        records = demo_dataset(n_apps=1, n_per_app=12, seed=0).records
 
         async def scenario():
-            return await serving.handle_observe(
-                {"application": "app0", "profiles": profiles}
-            )
+            return await serving.handle_observe_stream(_frame(records))
 
         reply = asyncio.run(scenario())
         serving.close()
-        assert reply["accurate"] and not reply["update_scheduled"]
-        assert serving.slot.version == 1
-        assert registry.versions(ModelKey("demo", "suite")) == [1]
+        assert reply["ok"]
+        assert not reply["drift_tripped"] and not reply["respec_scheduled"]
+        assert reply["drift_score"] <= PAPER_TRIGGER.trip_ratio
+        assert reply["action"] == "refresh"
+        assert serving.stats.updates_started == 0
+        assert serving.respecifier.respecs == 0
+        # publish_every=1: the refresh is the one publish, v1 -> v2.
+        assert serving.slot.version == 2
+        assert registry.versions(serving.key) == [1, 2]
+        meta = registry.entry_metadata(serving.key, 2)
+        assert meta["trigger"] == "stream-refresh"
+
+    def test_wedged_fan_out_does_not_hold_the_learner_lock(self, tmp_path):
+        """A fan-out that stalls (a fleet shard slow to ack its reload)
+        must not stall the next ``observe_stream`` frame: the ``on_swap``
+        hook runs after the learner's lock is released."""
+        server, serving, registry = build_service(
+            demo_dataset(seed=0),
+            tmp_path / "registry",
+            generations=1,
+            population_size=6,
+        )
+        records = demo_dataset(n_apps=1, n_per_app=4, seed=3).records
+        wedged = serving.slot.version + 1
+        fanned_out = []
+
+        async def scenario():
+            release = asyncio.Event()
+
+            async def on_swap(version):
+                fanned_out.append(version)
+                if version == wedged:
+                    await release.wait()
+
+            serving.on_swap = on_swap
+            first = asyncio.ensure_future(
+                serving.handle_observe_stream(_frame(records))
+            )
+            while wedged not in fanned_out:
+                await asyncio.sleep(0.001)
+            second = await asyncio.wait_for(
+                serving.handle_observe_stream(_frame(records)), timeout=10.0
+            )
+            assert not first.done()  # still waiting on its fan-out
+            release.set()
+            return await first, second
+
+        first, second = asyncio.run(scenario())
+        serving.close()
+        assert first["ok"] and second["ok"]
+        assert first["action"] == second["action"] == "refresh"
+        assert fanned_out == [wedged, wedged + 1]
+        assert second["model_version"] == wedged + 1
+        assert registry.versions(serving.key) == [1, wedged, wedged + 1]
+
+
+class TestPaperTriggerEquivalence:
+    """The drift gate at ``PAPER_TRIGGER`` is the paper's update policy.
+
+    On a first batch, the detector's score is bit-for-bit the batch
+    :class:`~repro.core.updater.ModelManager`'s ``median_error /
+    steady_state_error``, and the two agree on whether to update.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            lambda: outlier_profiles("new", n=10),
+            lambda: outlier_profiles("new", n=12, seed=7),
+            lambda: outlier_profiles("new", n=20, seed=8, shift=2.0),
+            lambda: _app_records("app1", 12, np.random.default_rng(3), shift=0.5),
+            lambda: _app_records("app0", 30, np.random.default_rng(4)),
+        ],
+        ids=["outlier10", "outlier12", "outlier20", "familiar12", "familiar30"],
+    )
+    def test_first_batch_score_equals_manager_ratio(self, seed, batch):
+        records = batch()
+        manager = ModelManager(
+            demo_dataset(seed=0),
+            GeneticSearch(population_size=6, seed=seed),
+            generations=1,
+            min_update_profiles=PAPER_TRIGGER.min_fill,
+            error_tolerance=PAPER_TRIGGER.trip_ratio,
+        )
+        manager.train()
+        respecifier = StreamingRespecifier(
+            demo_dataset(seed=0),
+            GeneticSearch(population_size=6, seed=seed),
+            drift_config=PAPER_TRIGGER,
+        )
+        respecifier.bootstrap(1)
+        assert (
+            respecifier.last_result.best_fitness.mean_error
+            == manager.steady_state_error
+        )
+
+        steady_state_error = manager.steady_state_error
+        batch_ds = ProfileDataset(DEMO_X_NAMES, DEMO_Y_NAMES, records)
+        outcome = respecifier.ingest(batch_ds, allow_respec=False)
+        # The manager updates in place when triggered; the ratio it
+        # decided on is against the steady-state error before that.
+        observed = manager.observe(records)
+
+        assert outcome.drift_score == observed.median_error / steady_state_error
+        assert outcome.tripped == (not observed.accurate)
+        assert outcome.needs_respec == observed.update_triggered

@@ -100,8 +100,18 @@ class TestErrors:
 
     def test_bad_observe_without_profiles_400(self, client):
         with pytest.raises(ServeError) as exc:
-            client.request({"op": "observe", "application": "a", "profiles": []})
+            client.request(
+                {"op": "observe_stream", "application": "a", "profiles": []}
+            )
         assert exc.value.status == 400
+
+    def test_batch_observe_op_is_gone_404(self, client):
+        """observe_stream is the only maintenance op."""
+        with pytest.raises(ServeError) as exc:
+            client.request(
+                {"op": "observe", "application": "a", "profiles": [{}]}
+            )
+        assert exc.value.status == 404
 
 
 class TestBackpressure:

@@ -17,7 +17,6 @@ The properties DESIGN.md §10 promises:
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import signal
@@ -171,18 +170,72 @@ def test_router_fails_over_past_a_dead_backend():
         router.stop()
 
 
-def test_observe_is_forwarded_to_the_control_plane(fleet):
-    """Any shard accepts observations; the single learner answers them."""
-    supervisor, _ = fleet
+@pytest.fixture(scope="module")
+def streaming_fleet(tmp_path_factory):
+    """A 2-shard fleet that publishes every coefficient refresh.
+
+    Separate from ``fleet`` so the observations sent here never move the
+    model that the bit-identity tests compare against their twin.
+    """
+    supervisor = build_sharded_service(
+        demo_dataset(seed=0),
+        tmp_path_factory.mktemp("registry-stream"),
+        n_shards=2,
+        generations=1,
+        population_size=6,
+        publish_every=1,
+    ).start()
+    try:
+        yield supervisor
+    finally:
+        supervisor.drain()
+
+
+def _private_ports(supervisor) -> list:
+    with supervisor._handles_lock:
+        return [
+            supervisor._handles[i].private_port
+            for i in sorted(supervisor._handles)
+        ]
+
+
+def test_observe_is_forwarded_to_the_control_plane(streaming_fleet):
+    """Any shard accepts observe_stream; the single learner answers it,
+    and the shard's stats carry that learner's update counters."""
+    supervisor = streaming_fleet
     profiles = [
         {"x": [0.1 * i, 0.2, 0.3], "y": [1.0, 1.5], "z": 2.0 + 0.01 * i}
         for i in range(3)
     ]
-    with ServeClient(port=supervisor.port, timeout=10.0) as client:
-        reply = client.observe("shard-observe-app", profiles)
+    worker_port = _private_ports(supervisor)[0]
+    with ServeClient(port=worker_port, timeout=10.0) as client:
+        reply = client.observe_stream("shard-observe-app", profiles)
+        stats = client.stats()
     assert reply["ok"]
-    assert "accurate" in reply and "median_error" in reply
-    assert supervisor.serving.stats.observations >= 1
+    assert "drift_score" in reply and "action" in reply
+    batches = supervisor.serving.stats.stream_batches
+    assert batches >= 1
+    assert stats["updates"]["observe_forwarded"] >= 1
+    assert stats["updates"]["stream"]["batches"] == batches
+
+
+def test_refresh_publish_reaches_every_shard(streaming_fleet):
+    """A coefficient refresh is published fleet-wide, not only to the
+    learner's slot: every worker reports the new version."""
+    supervisor = streaming_fleet
+    v = supervisor.serving.slot.version
+    profiles = [
+        {"x": r.x.tolist(), "y": r.y.tolist(), "z": r.z}
+        for r in demo_dataset(n_apps=1, n_per_app=4, seed=3).records
+    ]
+    with ServeClient(port=supervisor.port, timeout=10.0) as client:
+        reply = client.observe_stream("app0", profiles)
+    assert reply["ok"] and reply["action"] == "refresh"
+    assert reply["model_version"] == v + 1
+    # The reply leaves only after the reload broadcast was acknowledged.
+    for port in _private_ports(supervisor):
+        with ServeClient(port=port, timeout=10.0) as client:
+            assert client.info()["model_version"] == v + 1
 
 
 def test_reload_is_version_gated(fleet):
@@ -258,7 +311,6 @@ def test_fleet_swap_atomicity_only_v_and_v_plus_1_observed(fleet, rows):
     the single-process twin, and the fleet converges on ``v+1``."""
     supervisor, twin_port = fleet
     v = supervisor.serving.slot.version
-    model, _ = supervisor.registry.load(supervisor.key, v)
 
     observed: set = set()
     failures: list = []
@@ -284,9 +336,10 @@ def test_fleet_swap_atomicity_only_v_and_v_plus_1_observed(fleet, rows):
     for thread in pollers:
         thread.start()
     try:
-        # The same model re-published: the version moves, the bits do not,
-        # so the twin stays a valid reference across the swap.
-        new_version = supervisor.publish_model(copy.deepcopy(model))
+        # The learner's model re-published (this fleet never ingests, so
+        # it is the twin's): the version moves, the bits do not.
+        new_version = supervisor.serving.publish("manual")
+        supervisor.reload_all(new_version)
     finally:
         time.sleep(0.05)  # let pollers straddle the post-swap instant
         stop.set()

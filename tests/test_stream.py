@@ -570,19 +570,16 @@ def _profiles(n, seed, shift=0.0):
 class TestObserveStreamServing:
     def test_round_trip_and_prometheus_labels(self, tmp_path):
         from repro.serve import ServeClient, ServerThread
-        from repro.serve.bootstrap import (
-            attach_streaming,
-            build_service,
-            demo_dataset,
-        )
+        from repro.serve.bootstrap import build_service, demo_dataset
 
         server, serving, registry = build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
             population_size=6,
+            drift_config=FAST_DRIFT,
         )
-        respec = attach_streaming(serving, drift_config=FAST_DRIFT)
+        respec = serving.respecifier
         respec.set_baseline(
             float(np.median(respec._prequential_errors(
                 ProfileDataset(
@@ -611,54 +608,21 @@ class TestObserveStreamServing:
         finally:
             serving.close()
 
-    def test_batch_observe_rejected_while_stream_attached(self, tmp_path):
-        """The two maintenance paths must not fight over the model slot:
-        with a respecifier attached, the batch 'observe' op is a 409."""
-        from repro.serve.bootstrap import (
-            attach_streaming,
-            build_service,
-            demo_dataset,
-        )
-
-        server, serving, _ = build_service(
-            demo_dataset(seed=0),
-            tmp_path / "registry",
-            generations=1,
-            population_size=6,
-        )
-        attach_streaming(serving, drift_config=FAST_DRIFT)
-        try:
-            reply = asyncio.run(
-                serving.handle_observe(
-                    {"application": "app0", "profiles": _profiles(4, seed=3)}
-                )
-            )
-            assert reply["ok"] is False and reply["status"] == 409
-            assert "observe_stream" in reply["error"]
-            assert serving.stats.observations == 0
-            assert not serving.update_in_progress
-        finally:
-            serving.close()
-
     def test_refresh_publish_throttle(self, tmp_path):
         """publish_every=N: refreshes update the in-memory incumbent every
         batch, but only every Nth refresh reaches the registry/slot —
         keeping the durable fsync off the hot ingest path."""
-        from repro.serve.bootstrap import (
-            attach_streaming,
-            build_service,
-            demo_dataset,
-        )
+        from repro.serve.bootstrap import build_service, demo_dataset
 
         server, serving, registry = build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
             population_size=6,
+            drift_config=FAST_DRIFT,
+            publish_every=3,
         )
-        respec = attach_streaming(
-            serving, publish_every=3, drift_config=FAST_DRIFT
-        )
+        respec = serving.respecifier
         respec.set_baseline(10.0)  # roomy: refresh, never trip
 
         async def scenario():
@@ -679,51 +643,20 @@ class TestObserveStreamServing:
         finally:
             serving.close()
 
-    def test_no_stream_attached_is_501(self, tmp_path):
-        from repro.serve.bootstrap import build_service, demo_dataset
-
-        server, serving, _ = build_service(
-            demo_dataset(seed=0),
-            tmp_path / "registry",
-            generations=1,
-            population_size=6,
-        )
-        try:
-            reply = asyncio.run(
-                serving.handle_observe_stream(
-                    {"application": "app0", "profiles": _profiles(2, seed=1)}
-                )
-            )
-            assert reply == {
-                "ok": False,
-                "status": 501,
-                "error": reply["error"],
-            }
-            assert "attach_stream" in reply["error"]
-        finally:
-            serving.close()
-
     def test_drift_trip_schedules_background_respec(self, tmp_path):
-        from repro.serve.bootstrap import (
-            attach_streaming,
-            build_service,
-            demo_dataset,
-        )
+        from repro.serve.bootstrap import build_service, demo_dataset
 
         server, serving, registry = build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
-            update_generations=1,
             population_size=6,
-        )
-        respec = attach_streaming(
-            serving,
             drift_config=DriftConfig(
                 window=8, min_fill=1, trip_ratio=1.05, clear_ratio=1.0,
                 patience=1,
             ),
         )
+        respec = serving.respecifier
         respec.set_baseline(1e-6)  # any real error trips immediately
 
         async def scenario():
@@ -749,26 +682,19 @@ class TestObserveStreamServing:
         manager lock (a concurrent observe_stream frame mutates the
         detector window on the executor while holding it): with the lock
         held externally, a finished GA must NOT publish until release."""
-        from repro.serve.bootstrap import (
-            attach_streaming,
-            build_service,
-            demo_dataset,
-        )
+        from repro.serve.bootstrap import build_service, demo_dataset
 
         server, serving, registry = build_service(
             demo_dataset(seed=0),
             tmp_path / "registry",
             generations=1,
-            update_generations=1,
             population_size=6,
-        )
-        respec = attach_streaming(
-            serving,
             drift_config=DriftConfig(
                 window=8, min_fill=1, trip_ratio=1.05, clear_ratio=1.0,
                 patience=1,
             ),
         )
+        respec = serving.respecifier
         respec.set_baseline(1e-6)  # any real error trips immediately
 
         async def scenario():

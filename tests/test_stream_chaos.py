@@ -29,12 +29,7 @@ from repro import faults, obs
 from repro.faults import FaultPlan
 from repro.store import Store
 from repro.stream import DriftConfig, GramAccumulator
-from repro.serve.bootstrap import (
-    _app_records,
-    attach_streaming,
-    build_service,
-    demo_dataset,
-)
+from repro.serve.bootstrap import _app_records, build_service, demo_dataset
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -157,11 +152,10 @@ def streaming_service(tmp_path):
         demo_dataset(seed=0),
         tmp_path / "registry",
         generations=1,
-        update_generations=1,
         population_size=6,
+        drift_config=TRIGGER_HAPPY,
     )
-    respec = attach_streaming(serving, drift_config=TRIGGER_HAPPY)
-    yield serving, registry, respec
+    yield serving, registry, serving.respecifier
     serving.close()
 
 
