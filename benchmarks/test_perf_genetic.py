@@ -1,7 +1,8 @@
 """Benchmark: batched fitness engine vs. the reference inner loop.
 
 Runs one seeded :class:`GeneticSearch` twice on the same dataset — once
-with ``evaluator=evaluate_spec`` (the reference per-application oracle)
+with ``evaluator=evaluate_spec`` (the reference per-application oracle
+in ``tests/oracles/fitness.py``)
 and once on the default batched :class:`FitnessEngine` path — and writes
 generation wall-time, fits/sec, column-store and memoization hit rates,
 and the speedup to ``BENCH_genetic.json`` at the repository root.
@@ -31,7 +32,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import GeneticSearch, ProfileDataset, ProfileRecord, evaluate_spec
+from repro.core import GeneticSearch, ProfileDataset, ProfileRecord
+from tests.oracles.fitness import evaluate_spec
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REPORT_PATH = Path(__file__).resolve().parents[1] / "BENCH_genetic.json"

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.dataset import ProfileDataset, ProfileRecord
+from repro.core.dataset import ProfileDataset
 from repro.core.genetic import GeneticSearch
 from repro.serve.bootstrap import _app_records, demo_dataset
 from repro.stream import DriftConfig, StreamingRespecifier

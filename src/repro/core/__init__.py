@@ -47,7 +47,7 @@ from repro.core.metrics import (
 )
 from repro.core.model import InferredModel
 from repro.core.chromosome import Chromosome, chromosome_from_spec
-from repro.core.fitness import FitnessResult, derive_app_splits, evaluate_spec
+from repro.core.fitness import FitnessResult, derive_app_splits
 from repro.core.engine import ColumnStore, FitnessEngine
 from repro.core.genetic import GeneticSearch, SearchResult, GenerationRecord
 from repro.core.transfer import (
@@ -113,7 +113,6 @@ __all__ = [
     "chromosome_from_spec",
     "FitnessResult",
     "derive_app_splits",
-    "evaluate_spec",
     "ColumnStore",
     "FitnessEngine",
     "GeneticSearch",

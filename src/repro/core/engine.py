@@ -1,8 +1,8 @@
 """Batched fitness evaluation for the genetic search (§3.3's inner loop).
 
-:func:`repro.core.fitness.evaluate_spec` — retained as the reference
-oracle — pays three layers of redundant work for every candidate model in
-a population:
+The reference per-application inner loop (``evaluate_spec``, kept as
+the oracle in ``tests/oracles/fitness.py``) pays three layers of
+redundant work for every candidate model in a population:
 
 1. **Transform refits.**  Every per-application fit re-estimates each
    variable's ladder power, standardization, and spline knots, although
@@ -244,7 +244,7 @@ class FitnessEngine:
     # -- public API ---------------------------------------------------------------
 
     def evaluate(self, spec: ModelSpec) -> FitnessResult:
-        """Fitness of one specification (same contract as ``evaluate_spec``)."""
+        """Fitness of one specification (same result as the reference oracle)."""
         if not self.applications:
             raise ValueError("dataset has no applications")
         self.specs_evaluated += 1
@@ -375,8 +375,8 @@ def evaluate_chunk(
     Top-level and fully determined by its arguments, so
     :mod:`repro.parallel` can ship whole population chunks to worker
     processes: each worker builds the column store once per chunk instead
-    of once per candidate — and the supervised pool can resubmit a chunk
-    whose worker died without changing any result.
+    of once per candidate — and the pool can resubmit a chunk whose worker
+    died without changing any result.
     """
     faults.site("engine.evaluate_chunk")
     engine = FitnessEngine(

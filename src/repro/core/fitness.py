@@ -10,25 +10,24 @@ For every application s in the profiled set S:
 Model fitness f_m is the average of f_s over applications.  We measure
 accuracy as median absolute percentage error, so *lower is better*
 throughout; the paper's convergence plot (Figure 5) reports the *sum* of
-per-application median errors, which :func:`evaluate_spec` also returns.
+per-application median errors, which :class:`FitnessResult` also carries.
+
+This module holds the contract every scorer shares — the result type,
+the fixed per-search splits, and the constants.  The batched
+:class:`repro.core.engine.FitnessEngine` is the production scorer; the
+per-application reference loop it is tested against lives in
+``tests/oracles/fitness.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.core.dataset import ProfileDataset
-from repro.core.design import ModelSpec
-from repro.core.metrics import median_error
-from repro.core.model import InferredModel
-
-#: Per-application (train_indices, val_indices) pairs of *global* dataset
-#: row indices, as produced by :func:`derive_app_splits`.
-AppSplits = Mapping[str, Tuple[np.ndarray, np.ndarray]]
 
 #: Weight applied to the evaluated application's own training profiles.
 DEFAULT_TRAINING_WEIGHT = 2.0
@@ -95,70 +94,3 @@ def derive_app_splits(
         val = np.sort(indices[perm[cut:]])
         splits[app] = (train, val)
     return splits
-
-
-def evaluate_spec(
-    spec: ModelSpec,
-    dataset: ProfileDataset,
-    rng: np.random.Generator,
-    weight: float = DEFAULT_TRAINING_WEIGHT,
-    train_fraction: float = DEFAULT_TRAIN_FRACTION,
-    splits: Optional[AppSplits] = None,
-) -> FitnessResult:
-    """Evaluate a candidate specification with the paper's inner loop.
-
-    With ``splits`` (from :func:`derive_app_splits`) the per-application
-    train/validation partitions are taken as given and ``rng`` is not
-    consumed; without it, each application is split with fresh ``rng``
-    draws (the historical behaviour).
-    """
-    applications = dataset.applications
-    if not applications:
-        raise ValueError("dataset has no applications")
-    groups = dataset.by_application()
-
-    per_app: Dict[str, float] = {}
-    for app in applications:
-        others = dataset.without_application(app)
-        if splits is not None:
-            train_idx, val_idx = splits[app]
-            train_own = dataset.subset([int(i) for i in train_idx])
-            val_own = dataset.subset([int(i) for i in val_idx])
-        else:
-            own = groups[app]
-            if len(own) < 2:
-                per_app[app] = FAILED_FITNESS
-                continue
-            train_own, val_own = own.split(train_fraction, rng, stratify=False)
-        per_app[app] = _fit_and_score(spec, others, train_own, val_own, weight)
-    errors = np.array(list(per_app.values()))
-    return FitnessResult(
-        mean_error=float(errors.mean()),
-        sum_error=float(errors.sum()),
-        per_application=per_app,
-    )
-
-
-def _fit_and_score(
-    spec: ModelSpec,
-    others: ProfileDataset,
-    train_own: ProfileDataset,
-    val_own: ProfileDataset,
-    weight: float,
-) -> float:
-    """Fit on {P_-s, T_s} x w, score on V_s."""
-    if len(val_own) == 0 or len(train_own) == 0:
-        return FAILED_FITNESS
-    combined = ProfileDataset.merge([others, train_own])
-    weights = np.concatenate(
-        [np.ones(len(others)), np.full(len(train_own), weight)]
-    )
-    try:
-        model = InferredModel.fit(spec, combined, weights=weights)
-        predictions = model.predict(val_own)
-    except (ValueError, np.linalg.LinAlgError):
-        return FAILED_FITNESS
-    targets = val_own.targets()
-    if not np.isfinite(predictions).all():
-        return FAILED_FITNESS
-    return min(median_error(predictions, targets), FAILED_FITNESS)

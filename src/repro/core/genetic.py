@@ -22,7 +22,6 @@ realized.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,14 +90,15 @@ class GeneticSearch:
     elite_fraction:
         Fraction N% of each generation that survives unchanged.
     evaluator:
-        Fitness function ``(spec, dataset, rng) -> FitnessResult``.  When
-        ``None`` (the default) candidates are scored by the batched
+        Fitness function ``(spec, dataset, rng, splits=...) -> FitnessResult``,
+        called with the search's fixed per-application splits (from
+        :func:`repro.core.fitness.derive_app_splits`).  When ``None`` (the
+        default) candidates are scored by the batched
         :class:`repro.core.engine.FitnessEngine`, with results memoized by
         chromosome for the duration of a search (sound because the
-        train/validation splits are fixed per search).  Pass
-        :func:`repro.core.fitness.evaluate_spec` explicitly to score with
-        the reference per-application inner loop; evaluators accepting a
-        ``splits`` keyword receive the search's fixed splits.
+        train/validation splits are fixed per search).  The test suite
+        passes its reference per-application inner loop
+        (``tests/oracles/fitness.py``) here.
     n_workers:
         If > 1, candidate models of a generation are evaluated in a process
         pool (the inner loop is embarrassingly parallel, §4.2).  ``None``
@@ -317,20 +317,13 @@ class GeneticSearch:
                     )
                     for chunk in chunks
                 ]
-                # collect_metrics ships each chunk's obs snapshot back and
-                # merges them here in chunk order, so engine counters are
-                # identical to the serial run at any worker count.
-                # supervised: a worker that dies (or hangs) mid-chunk gets
-                # its chunk resubmitted to a fresh pool — fitness evaluation
+                # The pool merges each chunk's obs snapshot in chunk order,
+                # so engine counters are identical to the serial run at any
+                # worker count; a worker that dies mid-chunk gets its
+                # chunk resubmitted to a fresh pool — fitness evaluation
                 # survives worker loss with bit-identical results because
                 # chunks are pure functions of (dataset, seed, specs).
-                outcomes = parallel_starmap(
-                    evaluate_chunk,
-                    jobs,
-                    n_workers=self.n_workers,
-                    collect_metrics=True,
-                    supervised=True,
-                )
+                outcomes = parallel_starmap(evaluate_chunk, jobs, self.n_workers)
                 by_chromosome: Dict[Chromosome, FitnessResult] = {}
                 for chunk, (chunk_results, chunk_stats) in zip(chunks, outcomes):
                     by_chromosome.update(zip(chunk, chunk_results))
@@ -345,23 +338,16 @@ class GeneticSearch:
         dataset: ProfileDataset,
         names: Tuple[str, ...],
     ) -> List[FitnessResult]:
-        """Custom-evaluator path (including the reference oracle).
+        """Custom-evaluator path (the reference oracle in the test suite).
 
-        Evaluators that accept a ``splits`` keyword are given the search's
-        fixed per-application splits; others keep the historical
-        ``(spec, dataset, rng)`` contract.
+        The evaluator receives the search's fixed per-application splits.
         """
         self.last_eval_stats["candidates_scored"] += len(population)
-        try:
-            takes_splits = "splits" in inspect.signature(self.evaluator).parameters
-        except (TypeError, ValueError):
-            takes_splits = False
-        splits = self._splits if takes_splits else None
         jobs = [
-            (self.evaluator, c.to_spec(names), dataset, self._split_seed, splits)
+            (self.evaluator, c.to_spec(names), dataset, self._split_seed, self._splits)
             for c in population
         ]
-        return parallel_starmap(_evaluate_job, jobs, n_workers=self.n_workers)
+        return parallel_starmap(_evaluate_job, jobs, self.n_workers)
 
     def _merge_stats(self, stats: Dict[str, float]) -> None:
         merged = self.last_eval_stats
@@ -430,9 +416,6 @@ class GeneticSearch:
         return children
 
 
-def _evaluate_job(evaluator, spec, dataset, seed, splits=None) -> FitnessResult:
+def _evaluate_job(evaluator, spec, dataset, seed, splits) -> FitnessResult:
     """Top-level evaluation shim (picklable for multiprocessing)."""
-    rng = np.random.default_rng(seed)
-    if splits is not None:
-        return evaluator(spec, dataset, rng, splits=splits)
-    return evaluator(spec, dataset, rng)
+    return evaluator(spec, dataset, np.random.default_rng(seed), splits=splits)

@@ -124,7 +124,7 @@ def serve_main(argv) -> int:
     Boot-straps a demo service (synthetic dataset, short genetic search),
     publishes the model to the registry, and serves until interrupted or a
     client sends ``shutdown``.  Point real traffic at it with
-    :class:`repro.serve.ServeClient` or ``python -m repro.serve.client``.
+    :class:`repro.serve.ServeClient` or ``python -m repro.serve``.
     """
     import asyncio
 

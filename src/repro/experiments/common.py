@@ -334,9 +334,7 @@ def build_general_dataset(
             ]
             jobs.append((scale, seed, app, configs, shard_indices, backend))
 
-        record_lists = parallel_map(
-            _build_app_records_job, jobs, collect_metrics=True
-        )
+        record_lists = parallel_map(_build_app_records_job, jobs)
         train = empty_general_dataset()
         val = empty_general_dataset()
         for dataset, records in zip(

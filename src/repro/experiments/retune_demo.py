@@ -25,7 +25,7 @@ Run with ``python -m repro.experiments retune``.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

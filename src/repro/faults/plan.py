@@ -20,7 +20,8 @@ path).  An armed plan is a seeded *schedule* mapping sites to actions:
     length prefix or JSON body.
 ``kill[:code]``
     ``os._exit`` the current process: a worker crash that no ``except``
-    clause can absorb.  Used with the supervised process pool.
+    clause can absorb.  Used with the :mod:`repro.parallel` process pool
+    (site ``parallel.job``).
 ``drop``
     Raise :class:`InjectedDrop` (a ``ConnectionError``): socket-layer
     call sites translate it into a torn connection.
@@ -56,7 +57,7 @@ import multiprocessing
 import os
 import random
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro import obs
 

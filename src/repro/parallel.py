@@ -17,26 +17,24 @@ Design rules that keep every result identical at any worker count:
   :func:`_swizzle_jobs`) — workers re-map the same pages, the results
   are unchanged;
 * metrics recorded by jobs (``repro.obs``) aggregate deterministically:
-  with ``collect_metrics=True`` each job runs against a fresh registry in
-  its worker, and the per-job snapshots are merged back into the parent's
-  registry **in input order** — so counters and histograms are identical
-  to a serial run for any worker split (property-tested in
-  ``tests/test_obs.py``).
+  each pooled job runs against a fresh registry in its worker, and the
+  per-job snapshots are merged back into the parent's registry **in
+  input order** — so counters and histograms are identical to a serial
+  run for any worker split (property-tested in ``tests/test_obs.py``).
 
 ``REPRO_WORKERS`` semantics: unset or empty means serial (1); ``0`` or
 ``auto`` means one worker per CPU; any other integer is used as given
 (minimum 1).
 
-**Supervised mode** (``supervised=True``, or ``REPRO_SUPERVISED=1``)
-additionally survives worker failure: jobs run on a
+There is one pooled path, and it survives worker failure: jobs run on a
 :class:`concurrent.futures.ProcessPoolExecutor`, and when a worker dies
-(SIGKILL, ``os._exit``, OOM — surfaced as ``BrokenProcessPool``) or hangs
-past ``timeout_s``, the pool is torn down and only the unfinished jobs
-are resubmitted to a fresh one, up to ``max_attempts`` rounds.  Because
-jobs are pure functions of their arguments and results/metrics are
-slotted by input index, a run that loses workers returns bit-identical
-results (and obs counters) to an undisturbed or serial run — this is the
-substrate the genetic search's fitness evaluation rides on, and what the
+(SIGKILL, ``os._exit``, OOM — surfaced as ``BrokenProcessPool``) the pool
+is torn down and only the unfinished jobs are resubmitted to a fresh
+one, up to :data:`DEFAULT_MAX_ATTEMPTS` rounds.  Because jobs are pure
+functions of their arguments and results/metrics are slotted by input
+index, a run that loses workers returns bit-identical results (and obs
+counters) to an undisturbed or serial run — this is the substrate the
+genetic search's fitness evaluation rides on, and what the
 killed-worker chaos tests exercise.
 """
 
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
@@ -55,14 +52,13 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 WORKERS_ENV = "REPRO_WORKERS"
-SUPERVISED_ENV = "REPRO_SUPERVISED"
 
-#: Resubmission rounds before a supervised run declares the work impossible.
+#: Pool rounds before a pooled run declares the work impossible.
 DEFAULT_MAX_ATTEMPTS = 4
 
 
 class WorkerFailure(RuntimeError):
-    """Supervised jobs kept dying/hanging past the resubmission budget."""
+    """Pooled jobs kept dying past the resubmission budget."""
 
 
 def resolve_workers(n_workers: Optional[int] = None) -> int:
@@ -86,14 +82,6 @@ def resolve_workers(n_workers: Optional[int] = None) -> int:
     if n_workers == 0:
         n_workers = multiprocessing.cpu_count()
     return max(1, int(n_workers))
-
-
-def resolve_supervised(supervised: Optional[bool] = None) -> bool:
-    """Supervised-mode switch: explicit argument wins, then
-    ``$REPRO_SUPERVISED`` (``1``/``true``/``on``), default off."""
-    if supervised is not None:
-        return bool(supervised)
-    return os.environ.get(SUPERVISED_ENV, "").strip().lower() in ("1", "true", "on")
 
 
 def chunk_seeds(base_seed: int, n: int) -> List[int]:
@@ -140,58 +128,26 @@ def _swizzle_jobs(fn, jobs: List[tuple]) -> tuple:
     return _thawed_call, [(fn, freeze(args)) for args in jobs]
 
 
-def _collected_call(job) -> tuple:
-    """Run one job against a fresh metrics registry (worker shim).
-
-    Isolation matters under the default ``fork`` start method: the child's
-    global registry is a *copy* of the parent's, so snapshotting it
-    directly would re-count everything the parent had already recorded.
-    """
-    from repro import obs
-
-    fn, args = job
-    with obs.collect() as registry:
-        result = fn(*args)
-    return result, registry.snapshot()
-
-
-def _run_pool_collected(fn, arg_tuples, workers: int, chunksize: int) -> list:
-    from repro import obs
-
-    jobs = [(fn, args) for args in arg_tuples]
-    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-        outcomes = pool.map(_collected_call, jobs, chunksize=chunksize)
-    results = []
-    for result, snapshot in outcomes:  # merge in input order: deterministic
-        obs.merge(snapshot)
-        results.append(result)
-    return results
-
-
-# -- supervised execution --------------------------------------------------------------
-
-
 def _supervised_call(job: tuple) -> tuple:
-    """Worker shim for supervised jobs.
+    """Worker shim: run one job against a fresh metrics registry.
 
     Passes through the ``parallel.job`` fault site (so chaos plans can
-    kill/raise/delay inside the worker) and, when metrics collection is
-    on, runs the job against a fresh registry exactly like
-    :func:`_collected_call`.
+    kill/raise/delay inside the worker).  Isolation matters under the
+    default ``fork`` start method: the child's global registry is a *copy*
+    of the parent's, so snapshotting it directly would re-count everything
+    the parent had already recorded.
     """
     from repro import faults, obs
 
-    fn, args, collect = job
+    fn, args = job
     faults.site("parallel.job")
-    if not collect:
-        return fn(*args), None
     with obs.collect() as registry:
         result = fn(*args)
     return result, registry.snapshot()
 
 
 def _kill_pool(executor: ProcessPoolExecutor) -> None:
-    """Forcibly stop an executor whose workers are hung or dead."""
+    """Forcibly stop an executor whose workers are dead or failing."""
     processes = list(getattr(executor, "_processes", {}).values())
     for process in processes:
         if process.is_alive():
@@ -199,15 +155,8 @@ def _kill_pool(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _run_supervised(
-    fn,
-    arg_tuples: Sequence[tuple],
-    workers: int,
-    collect_metrics: bool,
-    timeout_s: Optional[float],
-    max_attempts: int,
-) -> list:
-    """Run jobs with dead/hung-worker detection and resubmission.
+def _run_supervised(fn, arg_tuples: Sequence[tuple], workers: int) -> list:
+    """Run jobs with dead-worker detection and resubmission.
 
     Results land in input-index slots, and metric snapshots are merged in
     input order only after every job has succeeded, so any pattern of
@@ -220,38 +169,22 @@ def _run_supervised(
     attempt = 0
     while pending:
         attempt += 1
-        if attempt > max_attempts:
+        if attempt > DEFAULT_MAX_ATTEMPTS:
             raise WorkerFailure(
                 f"{len(pending)} job(s) still unfinished after "
-                f"{max_attempts} rounds of worker failures"
+                f"{DEFAULT_MAX_ATTEMPTS} rounds of worker failures"
             )
         executor = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
         futures = {}
         broken = False
         try:
             for index in pending:
-                futures[
-                    executor.submit(
-                        _supervised_call, (fn, arg_tuples[index], collect_metrics)
-                    )
-                ] = index
+                futures[executor.submit(_supervised_call, (fn, arg_tuples[index]))] = index
         except BrokenProcessPool:
             broken = True
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         not_done = set(futures)
         while not_done and not broken:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                obs.counter("parallel.hung_workers").inc()
-                broken = True
-                break
-            done, not_done = wait(
-                not_done, timeout=remaining, return_when=FIRST_COMPLETED
-            )
-            if not done:  # hung: nothing completed within the budget
-                obs.counter("parallel.hung_workers").inc()
-                broken = True
-                break
+            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
             for future in done:
                 index = futures[future]
                 try:
@@ -273,58 +206,32 @@ def _run_supervised(
         if pending and broken:
             obs.counter("parallel.resubmissions").inc(len(pending))
     results = []
-    for result, snapshot in outcomes:
-        if collect_metrics and snapshot is not None:
-            obs.merge(snapshot)
+    for result, snapshot in outcomes:  # merge in input order: deterministic
+        obs.merge(snapshot)
         results.append(result)
     return results
 
 
 def parallel_map(
     fn: Callable[[T], R],
-    items: Sequence[T],
+    items: Iterable[T],
     n_workers: Optional[int] = None,
-    chunksize: int = 1,
-    collect_metrics: bool = False,
-    supervised: Optional[bool] = None,
-    timeout_s: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> List[R]:
-    """Order-preserving map over a process pool.
+    """Order-preserving map over a supervised process pool.
 
     Serial (plain loop, no pool, no pickling) when the resolved worker
     count is 1 or there is at most one item.  ``fn`` must be a module-level
-    callable for the parallel path.  With ``collect_metrics=True``, metrics
-    the jobs record via :mod:`repro.obs` are shipped back as per-job
-    snapshots and merged into this process's registry in input order.
-    ``supervised`` (default ``$REPRO_SUPERVISED``) detects dead/hung
-    workers and resubmits their jobs; see the module docstring.
+    callable for the pooled path, which survives worker death and merges
+    the metrics jobs record via :mod:`repro.obs` into this process's
+    registry in input order; see the module docstring.
     """
-    workers = resolve_workers(n_workers)
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    return parallel_starmap(
-        fn,
-        [(item,) for item in items],
-        n_workers=workers,
-        chunksize=chunksize,
-        collect_metrics=collect_metrics,
-        supervised=supervised,
-        timeout_s=timeout_s,
-        max_attempts=max_attempts,
-    )
+    return parallel_starmap(fn, [(item,) for item in items], n_workers)
 
 
 def parallel_starmap(
     fn: Callable[..., R],
     arg_tuples: Iterable[tuple],
     n_workers: Optional[int] = None,
-    chunksize: int = 1,
-    collect_metrics: bool = False,
-    supervised: Optional[bool] = None,
-    timeout_s: Optional[float] = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> List[R]:
     """:func:`parallel_map` for functions of several arguments."""
     workers = resolve_workers(n_workers)
@@ -332,11 +239,4 @@ def parallel_starmap(
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*args) for args in jobs]
     fn, jobs = _swizzle_jobs(fn, jobs)
-    if resolve_supervised(supervised):
-        return _run_supervised(
-            fn, jobs, workers, collect_metrics, timeout_s, max_attempts
-        )
-    if collect_metrics:
-        return _run_pool_collected(fn, jobs, workers, chunksize)
-    with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-        return pool.starmap(fn, jobs, chunksize=chunksize)
+    return _run_supervised(fn, jobs, workers)

@@ -77,6 +77,11 @@ from repro.serve.registry import ModelKey, ModelRegistry
 from repro.serve.server import PredictionServer
 from repro.serve.testing import ServerThread
 
+#: Budget for one supervisor→shard request on a private port.  Three
+#: bounded reload attempts (~15 s) fit inside the control server's 30 s
+#: request deadline, so a wedged shard cannot stall a fan-out past it.
+SHARD_REQUEST_TIMEOUT_S = 5.0
+
 
 @functools.lru_cache(maxsize=None)
 def supports_reuse_port() -> bool:
@@ -666,7 +671,10 @@ class ShardSupervisor:
         for handle in handles:
             try:
                 with ServeClient(
-                    "127.0.0.1", handle.private_port, timeout=5.0, retry=NO_RETRY
+                    "127.0.0.1",
+                    handle.private_port,
+                    timeout=SHARD_REQUEST_TIMEOUT_S,
+                    retry=NO_RETRY,
                 ) as client:
                     client.shutdown()
             except Exception:
@@ -807,20 +815,25 @@ class ShardSupervisor:
         return sum(results)
 
     async def _reload_one(self, handle: _WorkerHandle, version) -> bool:
+        async def attempt_reload() -> dict:
+            client = AsyncServeClient("127.0.0.1", handle.private_port)
+            try:
+                await client.connect()
+                return await client.request(
+                    {"op": "reload", "version": version}, check=False
+                )
+            finally:
+                await client.close()
+
         for attempt in range(3):
             try:
-                client = AsyncServeClient("127.0.0.1", handle.private_port)
-                await client.connect()
-                try:
-                    reply = await client.request(
-                        {"op": "reload", "version": version}, check=False
-                    )
-                finally:
-                    await client.close()
+                # Bounded: a shard that accepts but never answers counts
+                # as a failed attempt, like a refused connection.
+                reply = await asyncio.wait_for(attempt_reload(), SHARD_REQUEST_TIMEOUT_S)
                 if reply.get("ok"):
                     obs.counter("shard.reload_acks").inc()
                     return True
-            except (OSError, EOFError, asyncio.IncompleteReadError):
+            except (OSError, EOFError, asyncio.IncompleteReadError, asyncio.TimeoutError):
                 pass
             await asyncio.sleep(0.05 * (attempt + 1))
         obs.counter("shard.reload_failures").inc()
@@ -839,7 +852,7 @@ class ShardSupervisor:
 
     def _shard_request(self, handle: _WorkerHandle, payload: dict) -> dict:
         with ServeClient(
-            "127.0.0.1", handle.private_port, timeout=5.0, retry=NO_RETRY
+            "127.0.0.1", handle.private_port, timeout=SHARD_REQUEST_TIMEOUT_S, retry=NO_RETRY
         ) as client:
             return client.request(payload)
 

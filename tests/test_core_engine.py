@@ -22,7 +22,6 @@ from repro.core import (
     ModelSpec,
     TransformKind,
     derive_app_splits,
-    evaluate_spec,
     fit_ols,
     median_error,
     prune_design,
@@ -30,6 +29,7 @@ from repro.core import (
 from repro.core.engine import evaluate_chunk
 from repro.core.fitness import FAILED_FITNESS
 from tests.conftest import make_synthetic_dataset
+from tests.oracles.fitness import evaluate_spec
 
 
 def spec_from_genes(names, genes, interactions=frozenset()):

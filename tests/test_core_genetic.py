@@ -12,12 +12,12 @@ from repro.core import (
     ProfileDataset,
     ProfileRecord,
     TransformKind,
-    evaluate_spec,
     manual_general_spec,
     stepwise_search,
 )
 from repro.core.fitness import FAILED_FITNESS
 from tests.conftest import make_synthetic_dataset
+from tests.oracles.fitness import evaluate_spec
 
 
 def tiny_search(**kwargs):

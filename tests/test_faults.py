@@ -358,13 +358,7 @@ def test_supervised_map_identical_under_any_death_pattern(deaths):
     try:
         if plan is not None:
             faults.arm(plan)
-        out = parallel_map(
-            _cube,
-            items,
-            n_workers=3,
-            supervised=True,
-            max_attempts=len(deaths) + 2,
-        )
+        out = parallel_map(_cube, items, n_workers=3)
     finally:
         faults.disarm()
     assert out == expected
@@ -390,13 +384,7 @@ class TestSupervisedMetrics:
         obs.reset()
         plan = FaultPlan.parse("parallel.job=kill@2", seed=CHAOS_SEED)
         with faults.armed(plan):
-            survived = parallel_map(
-                _record_and_double,
-                items,
-                n_workers=3,
-                supervised=True,
-                collect_metrics=True,
-            )
+            survived = parallel_map(_record_and_double, items, n_workers=3)
         chaos_snapshot = obs.snapshot()
         assert survived == serial
         assert (
@@ -414,11 +402,9 @@ class TestSupervisedMetrics:
     def test_gives_up_after_attempt_budget(self):
         plan = FaultPlan.parse("parallel.job=kill")  # every job dies, forever
         with faults.armed(plan), pytest.raises(WorkerFailure):
-            parallel_map(
-                _cube, list(range(4)), n_workers=2, supervised=True, max_attempts=2
-            )
+            parallel_map(_cube, list(range(4)), n_workers=2)
 
     def test_job_exceptions_propagate_not_retried(self):
         plan = FaultPlan.parse("parallel.job=raise@1")
         with faults.armed(plan), pytest.raises(InjectedFault):
-            parallel_map(_cube, list(range(4)), n_workers=2, supervised=True)
+            parallel_map(_cube, list(range(4)), n_workers=2)

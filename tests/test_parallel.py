@@ -4,6 +4,7 @@ import multiprocessing
 
 import pytest
 
+from repro import obs
 from repro.parallel import (
     WORKERS_ENV,
     chunk_seeds,
@@ -19,6 +20,12 @@ def _square(x):
 
 def _add(a, b):
     return a + b
+
+
+def _counted_square(x):
+    obs.counter("pooled.jobs").inc()
+    obs.histogram("pooled.values", (1, 4, 16)).observe(x)
+    return x * x
 
 
 class TestResolveWorkers:
@@ -89,3 +96,17 @@ class TestParallelMap:
         serial = parallel_starmap(_add, jobs, n_workers=1)
         pooled = parallel_starmap(_add, jobs, n_workers=2)
         assert serial == pooled == [a + b for a, b in jobs]
+
+
+class TestPooledMetrics:
+    def test_pooled_map_merges_worker_metrics_like_serial(self):
+        """Every pooled map ships its jobs' metrics back; no flag needed."""
+        items = list(range(10))
+        obs.reset()
+        serial = parallel_map(_counted_square, items, n_workers=1)
+        serial_snapshot = obs.snapshot()
+
+        obs.reset()
+        pooled = parallel_map(_counted_square, items, n_workers=3)
+        assert pooled == serial
+        assert obs.snapshot() == serial_snapshot

@@ -17,9 +17,11 @@ The properties DESIGN.md §10 promises:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.serve import (
     BatchConfig,
     ModelSlot,
@@ -40,6 +43,7 @@ from repro.serve import (
     demo_dataset,
     supports_reuse_port,
 )
+from repro.serve import shard
 from repro.serve.shard import ShardRouter, _reserve_reuse_port
 
 N_SHARDS = 3
@@ -250,6 +254,38 @@ def test_reload_is_version_gated(fleet):
         assert stale["model_version"] == current
         way_stale = client.request({"op": "reload", "version": 0})
         assert way_stale["reloaded"] is False
+
+
+def test_reload_of_a_silent_shard_gives_up_within_its_budget(monkeypatch):
+    """A shard that accepts but never answers fails its reload, bounded.
+
+    The listener never calls ``accept``: the kernel completes the
+    handshake and the reload frame is buffered, but no reply ever comes.
+    """
+    monkeypatch.setattr(shard, "SHARD_REQUEST_TIMEOUT_S", 0.2)
+    silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(8)
+    handle = shard._WorkerHandle(
+        shard_id=0,
+        process=None,
+        private_port=silent.getsockname()[1],
+        public_port=None,
+        spawned_unix=time.time(),
+    )
+    supervisor = shard.ShardSupervisor.__new__(shard.ShardSupervisor)
+    failures = obs.counter("shard.reload_failures").value
+    started = time.monotonic()
+    try:
+        # The outer guard turns an unbounded reload into a failure, not a hang.
+        acked = asyncio.run(asyncio.wait_for(supervisor._reload_one(handle, 1), 10.0))
+    finally:
+        silent.close()
+    elapsed = time.monotonic() - started
+    assert acked is False
+    # 3 attempts x 0.2 s budget + 0.3 s of backoff, with slack.
+    assert elapsed < 3.0
+    assert obs.counter("shard.reload_failures").value == failures + 1
 
 
 def test_shutdown_op_recycles_exactly_one_shard(fleet):

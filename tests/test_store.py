@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.store import (
-    ColumnHandle,
     MissingColumn,
     Store,
     StoreError,
